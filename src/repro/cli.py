@@ -306,7 +306,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_throughput(args: argparse.Namespace) -> int:
-    """Measure packed.classify samples/sec (seed/fast/fused/parallel/shm)."""
+    """Measure packed.classify samples/sec (seed/fused/parallel/shm)."""
     import json
     from pathlib import Path
 
@@ -423,7 +423,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         artifacts = run.artifacts
         name = args.benchmark
-    engine = BitPackedUniVSA(artifacts, mode="fast")
+    engine = BitPackedUniVSA(artifacts)
     policy = ServePolicy(
         max_batch=args.max_batch,
         deadline_ms=args.deadline_ms,
@@ -729,7 +729,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         import dataclasses
 
         policy = dataclasses.replace(policy, max_retries=max(0, args.retries))
-    engine = BitPackedUniVSA(run.artifacts, mode="fast")
+    engine = BitPackedUniVSA(run.artifacts)
     breaker_open = False
     with using_registry(MetricsRegistry()) as registry:
         with ResilientBatchRunner(
@@ -1231,7 +1231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench-throughput",
-        help="samples/sec of packed.classify: seed vs fast vs fused vs "
+        help="samples/sec of packed.classify: seed vs fused vs "
         "worker pool vs zero-copy shm pool",
     )
     bench.add_argument("benchmark")

@@ -11,28 +11,24 @@ popcount adder trees do.
 * **Encoding**: reduction over the O channel axis per position.
 * **Similarity**: reduction over the W*L position axis per class and voter.
 
-The engine has three modes:
+The engine has two modes:
 
-* ``mode="fast"`` (default) never materializes the (B, P, C*K*K) int8
-  operand block.  The per-level ValueBox rows are packed **once** at
-  construction (channel-major, byte granular), so the DVP stage is a
-  packed gather; conv operand words are then assembled from those bytes
-  with a sliding window view — a byte shuffle, not a 64-lane
-  multiply-accumulate — and the conv match loop runs over bounded batch
-  tiles so peak memory is O(tile), not O(batch).  The feature map stays
-  a packed bit tensor end to end.
-* ``mode="fused"`` runs the **whole** pipeline — DVP gather, biconv
-  match, encode, similarity — one batch tile at a time, so every
+* ``mode="fused"`` (default) runs the whole pipeline — DVP gather,
+  BiConv match, encode, similarity — one batch tile at a time, so every
   intermediate of a tile is still cache-resident when the next stage
-  consumes it (`conv_tile_mb` defaults down to a cache-sized budget).
-  The conv match itself goes through the active kernel set's
-  ``match_builder`` — per-tap 256-entry XOR-popcount byte LUTs on the
-  fast set — and the threshold compare collapses to a single integer
-  comparison in XOR-count space (see ``_init_fused``).  Bit-exact with
-  the other modes by construction and by the property suite.
+  consumes it (``conv_tile_mb`` bounds one tile's working set).  The
+  per-level ValueBox rows are packed **once** at construction
+  (channel-major, byte granular), so the DVP stage is a packed gather
+  and the conv operand bytes are a sliding-window view over it.  The
+  conv match goes through the compiled fires kernel when available,
+  else the active kernel set's ``match_builder`` — per-tap 256-entry
+  XOR-popcount byte LUTs on the fast set — and the threshold compare
+  collapses to a single integer comparison in XOR-count space (see
+  ``_init_fused``).  ``encode()`` and ``scores()`` share the same tile
+  loop; ``scores()`` just adds the similarity stage per tile.
 * ``mode="legacy"`` preserves the seed engine's per-call block packing;
-  it exists as the baseline for ``python -m repro bench-throughput`` and
-  as a second implementation the property tests cross-check.
+  it is the oracle the fused engine is checked against, bit for bit, by
+  the property suite and ``python -m repro bench-throughput``.
 
 ``traffic_model()`` exposes the analytic bytes-moved / popcount-ops per
 sample of the selected mode — the roofline numbers the throughput bench
@@ -70,18 +66,14 @@ from .export import UniVSAArtifacts, record_soft_vote_margins
 
 __all__ = ["BitPackedUniVSA"]
 
-#: Default budget for the conv match intermediates of one batch tile.
-_DEFAULT_CONV_TILE_MB = 64.0
+#: Default budget for one fused batch tile: the whole point of fusion is
+#: cache-resident intermediates, so it sits at L2-cache scale.
+_DEFAULT_TILE_MB = 2.0
 
-#: Fused-mode default: the whole point of fusion is cache-resident
-#: intermediates, so the tile budget defaults to L2-cache scale rather
-#: than the fast mode's working-set bound.
-_DEFAULT_FUSED_TILE_MB = 2.0
-
-_ENGINE_MODES = ("fast", "fused", "legacy")
+_ENGINE_MODES = ("fused", "legacy")
 
 
-def _resolve_conv_tile_mb(value, mode: str) -> float:
+def _resolve_conv_tile_mb(value) -> float:
     """Validate the conv tile budget, loudly.
 
     A zero, negative, non-finite, or non-numeric budget used to be
@@ -92,7 +84,7 @@ def _resolve_conv_tile_mb(value, mode: str) -> float:
     if value is None:
         raw = os.environ.get("REPRO_CONV_TILE_MB")
         if raw is None or not raw.strip():
-            return _DEFAULT_FUSED_TILE_MB if mode == "fused" else _DEFAULT_CONV_TILE_MB
+            return _DEFAULT_TILE_MB
         source = f"REPRO_CONV_TILE_MB={raw.strip()!r}"
         value = raw
     else:
@@ -129,9 +121,9 @@ def _matches_against_inverted(words: np.ndarray, inverted: np.ndarray, dim: int)
     """XNOR match count against a pre-inverted operand.
 
     ``popcount(~(a ^ b)) == popcount(a ^ ~b)``; pre-inverting the static
-    side (kernel / feature / class words) once at construction saves an
-    invert pass over the large broadcast intermediate on every call.
-    Padding bits (0 in ``words``, 1 in ``inverted``) XOR to 1 and are
+    side (feature / class words) once at construction saves an invert
+    pass over the large broadcast intermediate on every call.  Padding
+    bits (0 in ``words``, 1 in ``inverted``) XOR to 1 and are
     subtracted, exactly as in :func:`repro.vsa.bitops.xnor_popcount`.
     """
     counts = get_kernels().popcount8(words ^ inverted)
@@ -142,26 +134,24 @@ def _matches_against_inverted(words: np.ndarray, inverted: np.ndarray, dim: int)
 class BitPackedUniVSA:
     """Packed-word inference over exported UniVSA artifacts.
 
-    ``mode`` selects the stage pipeline (``"fast"``, ``"fused"`` or
-    ``"legacy"``, env default ``REPRO_ENGINE``); ``conv_tile_mb`` bounds
-    the per-tile intermediates (env ``REPRO_CONV_TILE_MB``; must be a
-    positive finite number — anything else raises at construction).
+    ``mode`` selects the stage pipeline (``"fused"``, the default, or the
+    ``"legacy"`` oracle); ``conv_tile_mb`` bounds one fused tile's
+    intermediates (env ``REPRO_CONV_TILE_MB``; must be a positive finite
+    number — anything else raises at construction).
     """
 
     def __init__(
         self,
         artifacts: UniVSAArtifacts,
-        mode: str | None = None,
+        mode: str = "fused",
         conv_tile_mb: float | None = None,
     ) -> None:
-        if mode is None:
-            mode = os.environ.get("REPRO_ENGINE", "fast").strip().lower()
         if mode not in _ENGINE_MODES:
             raise ValueError(
                 f"unknown engine mode {mode!r}; expected one of {_ENGINE_MODES}"
             )
         self.mode = mode
-        self.conv_tile_mb = _resolve_conv_tile_mb(conv_tile_mb, mode)
+        self.conv_tile_mb = _resolve_conv_tile_mb(conv_tile_mb)
         self.artifacts = artifacts
         self.input_shape = artifacts.input_shape
         self.positions = artifacts.positions
@@ -186,15 +176,27 @@ class BitPackedUniVSA:
         self._class_packed, self._sim_bits = pack_bipolar(artifacts.class_vectors)
         self._channels = channels
 
-        if mode in ("fast", "fused"):
-            self._init_fast()
         if mode == "fused":
             self._init_fused()
 
     # ------------------------------------------------------------------
-    # fast-mode precomputation: packed ValueBox rows + operand-order kernel
+    # fused-mode precomputation
     # ------------------------------------------------------------------
-    def _init_fast(self) -> None:
+    def _init_fused(self) -> None:
+        """Packed ValueBox rows, pre-inverted operands and the conv matcher.
+
+        The conv matcher comes from the active kernel set's
+        ``match_builder`` over the kernel tap bytes in operand order,
+        returning XOR bit counts ``x`` instead of raw matches.  With
+        ``n`` true bits the accumulation is ``n - 2x``, so the threshold
+        compare becomes a *single* integer comparison:
+        ``acc >= t  <=>  x <= floor((n-t)/2)`` and (flipped channels)
+        ``acc <= t  <=>  x >= ceil((n-t)/2)``.  Folding the flip into
+        ``bound = xor_lo - 1`` and XOR-ing the comparison result with the
+        flip mask avoids materializing two boolean planes per tile.  Byte
+        padding bits are zero on both the operand and the tap side, so
+        they add no XOR counts.
+        """
         artifacts = self.artifacts
         # Per-level ValueBox rows packed channel-major at byte granularity
         # (memoized here so every DVP lookup is a packed gather).
@@ -208,56 +210,20 @@ class BitPackedUniVSA:
             self._mask_bool = artifacts.mask.astype(bool)
         else:
             self._value_bytes_low = None
-        self._volume_channels = artifacts.value_high.shape[1]
 
         # Pre-inverted static operands (see _matches_against_inverted).
         self._feature_inv = ~self._feature_packed
         self._class_inv = ~self._class_packed
 
-        if artifacts.kernel is not None:
-            # Kernel words in conv *operand order*: for each tap (kh, kw)
-            # the channel bits padded to whole bytes, concatenated —
-            # exactly the layout the window byte-assembly produces.  The
-            # match count over all C*K*K true bits is order-independent,
-            # so the accumulation is bit-exact vs the legacy block order.
-            kernel = artifacts.kernel  # (O, C, k, k)
-            o, c, k, _ = kernel.shape
-            operand = kernel.transpose(0, 2, 3, 1)  # (O, kh, kw, C)
-            taps = _pack_bytes(operand)  # (O, k, k, nb)
-            self._kernel_operand_inv = ~_bytes_to_words(taps.reshape(o, -1))
-            # Thresholds rewritten in raw-match space: with m the match
-            # count over the n = C*K*K true bits and p the padding bits
-            # (which always match), the accumulation 2m - n crosses a
-            # float threshold t exactly when the integer raw count m + p
-            # crosses ceil/floor((t + n)/2) + p — so the threshold
-            # compare runs directly on the uint16 match accumulator.
-            n_bits = c * k * k
-            pad_bits = self._kernel_operand_inv.shape[-1] * WORD_BITS - n_bits
-            half = (np.asarray(self._thresholds, dtype=np.float64) + n_bits) / 2.0
-            self._conv_match_hi = np.ceil(half).astype(np.int64) + pad_bits
-            self._conv_match_lo = np.floor(half).astype(np.int64) + pad_bits
-
-    # ------------------------------------------------------------------
-    # fused-mode precomputation: byte-level kernel taps + XOR-space bounds
-    # ------------------------------------------------------------------
-    def _init_fused(self) -> None:
-        """Build the fused conv matcher on top of the fast-mode state.
-
-        The matcher comes from the active kernel set's ``match_builder``
-        over the kernel tap bytes in operand order, returning XOR bit
-        counts ``x`` instead of raw matches.  With ``n`` true bits the
-        accumulation is ``n - 2x``, so the threshold compare becomes a
-        *single* integer comparison: ``acc >= t  <=>  x <= floor((n-t)/2)``
-        and (flipped channels) ``acc <= t  <=>  x >= ceil((n-t)/2)``.
-        Folding the flip into ``bound = xor_lo - 1`` and XOR-ing the
-        comparison result with the flip mask avoids materializing two
-        boolean planes per tile.  Byte padding bits are zero on both the
-        operand and the tap side, so they add no XOR counts.
-        """
-        artifacts = self.artifacts
         if artifacts.kernel is None:
             self._fused_matcher = None
+            self._cc_conv = None
             return
+        # Kernel bytes in conv *operand order*: for each tap (kh, kw) the
+        # channel bits padded to whole bytes, concatenated — exactly the
+        # layout the window byte-assembly produces.  The match count over
+        # all C*K*K true bits is order-independent, so the accumulation
+        # is bit-exact vs the legacy block order.
         kernel = artifacts.kernel  # (O, C, k, k)
         o, c, k, _ = kernel.shape
         taps = _pack_bytes(kernel.transpose(0, 2, 3, 1))  # (O, k, k, nb)
@@ -318,66 +284,73 @@ class BitPackedUniVSA:
         budget = self.conv_tile_mb * (1 << 20)
         return max(1, int(budget // max(per_sample, 1)))
 
-    def _scores_fused(self, levels: np.ndarray) -> np.ndarray:
-        """The single-pass pipeline: every stage per tile, then the next tile."""
+    def _run_fused(self, levels: np.ndarray, similarity: bool) -> np.ndarray:
+        """The single-pass tile loop shared by ``encode()`` and ``scores()``.
+
+        Each tile runs DVP → BiConv → pack → encode and, for scores, the
+        similarity stage before the next tile starts, so every
+        intermediate is still cache-resident when its consumer reads it.
+        """
         levels = np.asarray(levels).reshape((-1,) + self.input_shape)
         b = levels.shape[0]
         registry = get_registry()
         registry.counter("packed.samples").add(b)
-        n_classes = self._class_inv.shape[1]
-        out = np.empty((b, n_classes), dtype=np.int64)
-        kernel = self.artifacts.kernel
-        if kernel is not None:
-            k = kernel.shape[2]
-            pad = k // 2
+        if similarity:
+            out = np.empty((b, self._class_inv.shape[1]), dtype=np.int64)
+        else:
+            out = np.empty((b, self.positions), dtype=np.int8)
         tile = self._fused_tile()
-        h, w = self.input_shape
         n_tiles = 0
         for start in range(0, b, tile):
             stop = min(start + tile, b)
             n_tiles += 1
-            with stage_timer("packed.dvp"):
-                volume_bytes = self._dvp_bytes(levels[start:stop])
-            if kernel is not None:
-                with stage_timer("packed.biconv"):
-                    padded = np.pad(
-                        volume_bytes, ((0, 0), (pad, pad), (pad, pad), (0, 0))
-                    )
-                    if self._cc_conv is not None:
-                        fires = self._cc_conv(padded)  # (T, P, O) uint8 0/1
-                    else:
-                        windows = sliding_window_view(padded, (k, k), axis=(1, 2))
-                        operand = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
-                            stop - start, h * w, -1
-                        )
-                        counts = self._fused_matcher(operand)  # (T, P, O) XOR bits
-                        fires = (counts <= self._fused_bound) ^ self._fused_flip
-                feature_words = _bytes_to_words(_pack_bytes(fires))
-            else:
-                feature_words = _bytes_to_words(
-                    volume_bytes.reshape(stop - start, self.positions, -1)
-                )
-            with stage_timer("packed.encode"):
-                matches = _matches_against_inverted(
-                    feature_words, self._feature_inv[None], self._enc_bits
-                )
-                s = np.where(2 * matches - self._enc_bits >= 0, 1, -1).astype(np.int8)
-            with stage_timer("packed.similarity"):
-                packed = _bytes_to_words(_pack_bytes(s))
-                sims = _matches_against_inverted(
-                    packed[:, None, None, :], self._class_inv[None], self._sim_bits
-                )
-                out[start:stop] = (2 * sims - self._sim_bits).sum(axis=1)
+            s = self._encode_tile(levels[start:stop])
+            out[start:stop] = self._similarity_tile(s) if similarity else s
         registry.counter("packed.fused.tiles").add(n_tiles)
         registry.gauge("packed.fused.tile_size").set(tile)
         return out
 
-    # ------------------------------------------------------------------
-    # fast-mode stages
-    # ------------------------------------------------------------------
+    def _encode_tile(self, levels: np.ndarray) -> np.ndarray:
+        """One tile through DVP → BiConv → pack → encode: -> s (T, P) int8."""
+        with stage_timer("packed.dvp"):
+            volume_bytes = self._dvp_bytes(levels)
+        n = volume_bytes.shape[0]
+        kernel = self.artifacts.kernel
+        if kernel is not None:
+            with stage_timer("packed.biconv"):
+                k = kernel.shape[2]
+                pad = k // 2
+                # Zero bytes are the all -1 channel vector — the border padding.
+                padded = np.pad(volume_bytes, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+                if self._cc_conv is not None:
+                    fires = self._cc_conv(padded)  # (T, P, O) uint8 0/1
+                else:
+                    windows = sliding_window_view(padded, (k, k), axis=(1, 2))
+                    operand = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+                        n, self.positions, -1
+                    )
+                    counts = self._fused_matcher(operand)  # (T, P, O) XOR bits
+                    fires = (counts <= self._fused_bound) ^ self._fused_flip
+            feature_words = _bytes_to_words(_pack_bytes(fires))
+        else:
+            feature_words = _bytes_to_words(volume_bytes.reshape(n, self.positions, -1))
+        with stage_timer("packed.encode"):
+            matches = _matches_against_inverted(
+                feature_words, self._feature_inv[None], self._enc_bits
+            )
+            return np.where(2 * matches - self._enc_bits >= 0, 1, -1).astype(np.int8)
+
+    @stage_timer("packed.similarity")
+    def _similarity_tile(self, s: np.ndarray) -> np.ndarray:
+        """Packed soft voting of one tile: s (T, P) -> scores (T, n_classes)."""
+        packed = _bytes_to_words(_pack_bytes(s))
+        matches = _matches_against_inverted(
+            packed[:, None, None, :], self._class_inv[None], self._sim_bits
+        )  # (T, Theta, C)
+        return (2 * matches - self._sim_bits).sum(axis=1)
+
     def _dvp_bytes(self, levels: np.ndarray) -> np.ndarray:
-        """Packed DVP gather: levels (B, W, L) -> channel bytes (B, W, L, nb)."""
-        levels = np.asarray(levels).reshape((-1,) + self.input_shape)
+        """Packed DVP gather: levels (T, W, L) -> channel bytes (T, W, L, nb)."""
         volume = self._value_bytes_high[levels]
         if self._value_bytes_low is not None:
             volume = np.where(
@@ -387,80 +360,6 @@ class BitPackedUniVSA:
             )
         return volume
 
-    def _conv_tile(self, n_positions: int, out_channels: int) -> int:
-        """Batch-tile size keeping the conv match intermediates bounded."""
-        # Per sample the match loop holds an XOR word plane (8 B), its
-        # uint8 counts, and the uint16 accumulator per (position, channel).
-        per_sample = n_positions * out_channels * 11
-        budget = max(0.0, self.conv_tile_mb) * (1 << 20)
-        return max(1, int(budget // max(per_sample, 1)))
-
-    @stage_timer("packed.biconv")
-    def _conv_stage_fast(self, volume_bytes: np.ndarray) -> np.ndarray:
-        """Packed BiConv: channel bytes (B, W, L, nb) -> fires (B, P, O) bool."""
-        kernel = self.artifacts.kernel
-        o, _, k, _ = kernel.shape
-        b, h, w, nb = volume_bytes.shape
-        pad = k // 2
-        # Zero bytes are the all -1 channel vector — the border padding.
-        padded = np.pad(volume_bytes, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-        windows = sliding_window_view(padded, (k, k), axis=(1, 2))  # (B,H,W,nb,k,k)
-        operand = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, h * w, k * k * nb)
-        words = _bytes_to_words(operand)  # (B, P, Wc)
-        kernel_inv = self._kernel_operand_inv  # (O, Wc)
-        n_words = kernel_inv.shape[-1]
-        popcount8 = get_kernels().popcount8
-        flips = self._flips[None, None, :]
-        fires = np.empty((b, h * w, o), dtype=bool)
-        tile = self._conv_tile(h * w, o)
-        for start in range(0, b, tile):
-            stop = min(start + tile, b)
-            # Accumulate raw XNOR matches word by word with the output
-            # channel axis innermost — large contiguous ufunc inner loops
-            # instead of a length-W_c broadcast reduction.
-            acc = np.zeros((stop - start, h * w, o), dtype=np.uint16)
-            for wi in range(n_words):
-                acc += popcount8(
-                    words[start:stop, :, wi, None] ^ kernel_inv[None, None, :, wi]
-                )
-            fires[start:stop] = np.where(
-                flips, acc <= self._conv_match_lo, acc >= self._conv_match_hi
-            )
-        return fires
-
-    @stage_timer("packed.encode")
-    def _encode_stage_fast(self, feature_words: np.ndarray) -> np.ndarray:
-        """Packed encoding: feature words (B, P, Wf) -> bipolar s (B, P)."""
-        matches = _matches_against_inverted(
-            feature_words, self._feature_inv[None], self._enc_bits
-        )
-        accumulated = 2 * matches - self._enc_bits
-        return np.where(accumulated >= 0, 1, -1).astype(np.int8)
-
-    @stage_timer("packed.similarity")
-    def _similarity_stage_fast(self, s: np.ndarray) -> np.ndarray:
-        """Packed soft voting: s (B, P) -> scores (B, n_classes)."""
-        packed = _bytes_to_words(_pack_bytes(s))
-        matches = _matches_against_inverted(
-            packed[:, None, None, :], self._class_inv[None], self._sim_bits
-        )  # (B, Theta, C)
-        dots = 2 * matches - self._sim_bits
-        return dots.sum(axis=1)
-
-    def _encode_fast(self, levels: np.ndarray) -> np.ndarray:
-        with stage_timer("packed.dvp"):
-            volume_bytes = self._dvp_bytes(levels)
-        get_registry().counter("packed.samples").add(volume_bytes.shape[0])
-        if self._kernel_packed is not None:
-            fires = self._conv_stage_fast(volume_bytes)
-            feature_words = _bytes_to_words(_pack_bytes(fires))
-        else:
-            b = volume_bytes.shape[0]
-            feature_words = _bytes_to_words(
-                volume_bytes.reshape(b, self.positions, -1)
-            )
-        return self._encode_stage_fast(feature_words)
-
     # ------------------------------------------------------------------
     # legacy stages (the seed engine, kept as baseline and cross-check)
     # ------------------------------------------------------------------
@@ -469,7 +368,7 @@ class BitPackedUniVSA:
         """Packed BiConv: volume (B, D_H, W, L) int8 -> bipolar (B, O, W, L)."""
         kernel = self.artifacts.kernel
         b, c, h, w = volume.shape
-        k = kernel.shape[2]
+        o, _, k, _ = kernel.shape
         pad = k // 2
         padded = np.pad(
             volume, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-1
@@ -485,7 +384,7 @@ class BitPackedUniVSA:
         flips = self._flips[None, None, :]
         fires = np.where(flips, accumulated <= thresholds, accumulated >= thresholds)
         bipolar = np.where(fires, 1, -1).astype(np.int8)
-        return bipolar.transpose(0, 2, 1).reshape(b, -1, h, w)
+        return bipolar.transpose(0, 2, 1).reshape(b, o, h, w)
 
     @stage_timer("packed.encode")
     def _encode_stage(self, feature: np.ndarray) -> np.ndarray:
@@ -527,8 +426,8 @@ class BitPackedUniVSA:
         """Every array inference reads at serve time, by stable name.
 
         Covers both the source artifact arrays and the mode's derived
-        packed operands (value-volume bytes, conv operand words, packed
-        feature/class vectors, thresholds, fused taps/bounds).  This is
+        packed operands (value-volume bytes, packed feature/class
+        vectors, thresholds, fused taps/bounds).  This is
         the scrub surface of :class:`repro.runtime.integrity
         .IntegrityScrubber`: golden digests are taken over exactly this
         dict at build time and re-checked on every scrub pass, so a bit
@@ -561,9 +460,6 @@ class BitPackedUniVSA:
             "_mask_bool",
             "_feature_inv",
             "_class_inv",
-            "_kernel_operand_inv",
-            "_conv_match_hi",
-            "_conv_match_lo",
             "_kernel_tap_bytes",
             "_fused_bound",
             "_fused_flip",
@@ -580,7 +476,6 @@ class BitPackedUniVSA:
         "_enc_bits",
         "_sim_bits",
         "_channels",
-        "_volume_channels",
     )
 
     def operand_state(self) -> tuple[dict[str, np.ndarray], dict]:
@@ -668,8 +563,8 @@ class BitPackedUniVSA:
 
         The resilience layer's degradation ladder uses this to build the
         seed-exact ``legacy`` fallback engine without re-extracting or
-        copying artifacts; ``REPRO_ENGINE`` parity tests guarantee the
-        sibling is bit-exact with this engine.
+        copying artifacts; the fused-vs-legacy parity suite guarantees
+        the sibling is bit-exact with this engine.
         """
         return BitPackedUniVSA(
             self.artifacts,
@@ -684,7 +579,7 @@ class BitPackedUniVSA:
         intermediate arrays (reads + writes at ufunc granularity, bytes),
         how many 64-bit popcount ops and byte-LUT lookups it issues, and
         the peak intermediate footprint one scheduling unit holds (a
-        conv/fused tile, or the whole ``batch`` in legacy mode).  The
+        fused tile, or the whole ``batch`` in legacy mode).  The
         footprint is the roofline's x-axis: a pipeline whose tile
         footprint fits in cache pays DRAM only for its inputs, one that
         does not pays DRAM for every intermediate pass.
@@ -720,15 +615,6 @@ class BitPackedUniVSA:
                 lut = p * o * block_bytes
                 tile = self._fused_tile()
                 peak = tile * p * (o * 4 + block_bytes + 16)
-            elif self.mode == "fast":
-                # Word loop: per (position, channel, word) an 8-byte XOR
-                # temp is written and re-read, popcounted to a uint8, and
-                # accumulated into a uint16.
-                conv_bytes = 2 * p * block_bytes + p * o * wc * 22
-                conv_pops = p * o * wc
-                lut = 0
-                tile = self._conv_tile(p, o)
-                peak = tile * p * o * 11
             else:
                 # Legacy materializes the int8 operand block and packs it
                 # per call, then runs the same word-loop match broadcast.
@@ -766,23 +652,16 @@ class BitPackedUniVSA:
         )
 
     def encode(self, levels: np.ndarray) -> np.ndarray:
-        """Levels (B, W, L) -> bipolar sample vectors (B, W*L).
-
-        Fused mode reuses the fast encode path here: fusion is a
-        *schedule* over bit-identical stages, and a caller asking for
-        the intermediate representation wants the whole batch anyway.
-        """
-        if self.mode in ("fast", "fused"):
-            return self._encode_fast(levels)
+        """Levels (B, W, L) -> bipolar sample vectors (B, W*L)."""
+        if self.mode == "fused":
+            return self._run_fused(levels, similarity=False)
         return self._encode_legacy(levels)
 
     def scores(self, levels: np.ndarray) -> np.ndarray:
         """Soft-voting class scores (B, n_classes)."""
         with trace_span("packed.classify"):
             if self.mode == "fused":
-                scores = self._scores_fused(levels)
-            elif self.mode == "fast":
-                scores = self._similarity_stage_fast(self.encode(levels))
+                scores = self._run_fused(levels, similarity=True)
             else:
                 scores = self._similarity_stage(self.encode(levels))
             record_soft_vote_margins(scores)

@@ -130,7 +130,6 @@ def fault_sweep(
     seed: int = 0,
     predict_fn=None,
     repair_after: bool = False,
-    engine_mode: str = "fast",
 ) -> FaultReport:
     """Measure accuracy under increasing memory-corruption rates.
 
@@ -140,9 +139,9 @@ def fault_sweep(
     so sweep points differ only in corruption *rate*, not location luck.
 
     With ``repair_after=True`` each fraction additionally runs the live
-    recovery pipeline the serving layer uses: a pristine packed engine
-    (``engine_mode``) gets its resident operands corrupted in place at
-    the same per-bit rate (:func:`repro.runtime.integrity
+    recovery pipeline the serving layer uses: a pristine fused engine
+    gets its resident operands corrupted in place at the same per-bit
+    rate (:func:`repro.runtime.integrity
     .flip_resident_bits`), accuracy is measured degraded, then the
     :class:`~repro.runtime.integrity.IntegrityScrubber` is invoked —
     detect + rebuild-from-pristine — and accuracy is re-measured.  The
@@ -175,7 +174,7 @@ def fault_sweep(
         # Resident flips can land in the artifact arrays themselves;
         # corrupt a private deep copy so the caller's model — and the
         # next fraction's engine — stay pristine.
-        engine = BitPackedUniVSA(copy.deepcopy(artifacts), mode=engine_mode)
+        engine = BitPackedUniVSA(copy.deepcopy(artifacts))
         scrubber = IntegrityScrubber(engine)
         rng = np.random.default_rng((seed, index))
         flip_resident_bits(engine, rng, rate=fraction)

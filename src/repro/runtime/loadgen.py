@@ -516,7 +516,7 @@ def bench_serve(
     )
     bank = run.data.x_test
     true_labels = np.asarray(run.data.y_test)
-    engine = BitPackedUniVSA(run.artifacts, mode="fast")
+    engine = BitPackedUniVSA(run.artifacts)
     policy = policy if policy is not None else ServePolicy()
     chaos = ChaosSpec.from_env()
 

@@ -10,7 +10,7 @@ needs, following a fixed degradation ladder per shard:
    jitter.  A ``BrokenProcessPool`` additionally replaces the whole
    worker pool (a crashed process poisons its siblings) and resubmits
    every uncollected shard.
-2. **Fallback** — when the fast engine keeps failing, the shard runs
+2. **Fallback** — when the runner's engine keeps failing, the shard runs
    inline on the seed-exact ``legacy`` engine
    (:meth:`~repro.core.inference.BitPackedUniVSA.sibling`); engine
    parity tests guarantee the downgrade is bit-exact, so the only cost
@@ -170,7 +170,7 @@ class ShardStatus:
     status: str = "pending"  # ok | fallback | failed | skipped
     attempts: int = 0
     retries: int = 0
-    engine: str = "fast"  # engine that produced the accepted result
+    engine: str = "fused"  # engine that produced the accepted result
     errors: list[str] = field(default_factory=list)
     wall_s: float = 0.0
 
@@ -228,7 +228,7 @@ class BatchReport:
 
     @property
     def degraded(self) -> bool:
-        """True when anything deviated from the clean fast path."""
+        """True when anything deviated from the clean path."""
         return bool(
             self.retries
             or self.fallbacks
@@ -673,7 +673,10 @@ class ResilientBatchRunner(BatchRunner):
         registry = get_registry()
         spans = self._shards(clean.shape[0])
         registry.counter("batch.shards").add(len(spans))
-        statuses = [ShardStatus(i, a, b) for i, (a, b) in enumerate(spans)]
+        statuses = [
+            ShardStatus(i, a, b, engine=self.engine.mode)
+            for i, (a, b) in enumerate(spans)
+        ]
         report.shards = statuses
         report.shard_size = self.effective_shard_size(clean.shape[0]) or None
         parts: list[np.ndarray | None] = [None] * len(spans)
@@ -869,7 +872,7 @@ class ResilientBatchRunner(BatchRunner):
                                 # backoff is collected as-is instead).
                                 futures[i] = None
                         continue
-                    if self.policy.fallback and status.engine == "fast":
+                    if self.policy.fallback and status.engine != "seed":
                         status.engine = "seed"
                         registry.counter("resilience.fallbacks").add(1)
                         try:
@@ -1052,7 +1055,6 @@ class ResilientBatchRunner(BatchRunner):
 # serving-path prediction for fault sweeps
 # ---------------------------------------------------------------------------
 def serving_predict_fn(
-    mode: str = "fast",
     executor: str = "thread",
     workers: int | None = None,
     shard_size: int | None = None,
@@ -1070,7 +1072,7 @@ def serving_predict_fn(
     from repro.core.inference import BitPackedUniVSA
 
     def predict(artifacts, levels: np.ndarray) -> np.ndarray:
-        engine = BitPackedUniVSA(artifacts, mode=mode)
+        engine = BitPackedUniVSA(artifacts)
         with ResilientBatchRunner(
             engine,
             shard_size=shard_size,

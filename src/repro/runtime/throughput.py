@@ -2,18 +2,16 @@
 
 ``bench_throughput`` trains a small model on a registered benchmark and
 measures samples/sec of a fixed-size ``packed.classify`` workload on
-five engine configurations:
+four engine configurations:
 
 * ``seed`` — the legacy stage pipeline on the legacy bit kernels
   (multiply-accumulate pack + LUT popcount), single-threaded: the seed
   engine's exact arithmetic, so speedups are measured against a live
   baseline on the same machine rather than asserted;
-* ``fast`` — the overhauled packed pipeline on the fast kernels,
-  single-threaded (kernel + pipeline win in isolation);
-* ``fused`` — the single-pass tiled pipeline (byte-LUT conv match,
-  cache-resident intermediates), single-threaded: the data-movement win
-  in isolation;
-* ``parallel`` — the fast engine under a
+* ``fused`` — the single-pass tiled pipeline (compiled or byte-LUT conv
+  match, cache-resident intermediates) on the fast kernels,
+  single-threaded: the engine win in isolation;
+* ``parallel`` — the fused engine under a
   :class:`~repro.runtime.resilience.ResilientBatchRunner` worker pool
   with the handoff pinned to by-value (``shm=False``): the PR 3
   deployment path, kept as the continuity baseline — for process
@@ -28,7 +26,7 @@ five engine configurations:
   replacement + segment re-share end to end.
 
 With the execution planner active (``REPRO_PLAN`` or the ``plan``
-argument) a sixth ``planned`` stage runs the calibrated winning
+argument) a fifth ``planned`` stage runs the calibrated winning
 configuration — fused engine at the calibrated conv tile budget under
 the calibrated executor — through the resilient runner, and joins the
 bit-exactness assertion like every other stage.
@@ -39,11 +37,11 @@ record surfaces as ``bytes_shared`` / ``bytes_pickled_estimate`` /
 ``intermediates_peak_mb`` so ``repro obs compare`` can gate
 data-movement regressions alongside throughput.
 
-Every engine classifies the same batch; the bench asserts their
-predictions are identical before it reports a single number — a
+Every engine classifies the same batch; the bench asserts their int64
+score rows equal the seed engine's before it reports a single number — a
 throughput result from a non-bit-exact engine would be meaningless.
 Per-engine stage breakdowns are captured in separate registries so seed
-and fast p95s are directly comparable in the JSON sidecar, and the CLI
+and fused p95s are directly comparable in the JSON sidecar, and the CLI
 (``python -m repro bench-throughput``) appends one ``task="throughput"``
 record to the run ledger, which ``write_trajectories`` folds into
 ``BENCH_throughput.json`` and ``python -m repro obs compare`` gates on.
@@ -63,7 +61,7 @@ from .batch import resolve_workers
 from .chaos import ChaosSpec
 from .resilience import ResilientBatchRunner, RetryPolicy
 
-__all__ = ["EngineSample", "ThroughputReport", "bench_throughput"]
+__all__ = ["EngineSample", "ThroughputReport", "bench_throughput", "score_divergence"]
 
 
 @dataclass
@@ -105,7 +103,7 @@ class ThroughputReport:
     registry: MetricsRegistry | None = field(default=None, repr=False)
     resilience: dict = field(default_factory=dict)  # BatchReport of the last run
     chaos: dict = field(default_factory=dict)  # active ChaosSpec (empty = off)
-    prediction_mismatches: int = 0  # non-excluded divergences (bitflip chaos only)
+    prediction_mismatches: int = 0  # non-excluded divergent rows (bitflip chaos only)
     shm: dict = field(default_factory=dict)  # shm stage: handoff counters + report
     traffic: dict = field(default_factory=dict)  # per-mode analytic roofline models
     plan: dict = field(default_factory=dict)  # active ExecutionPlan (empty = off)
@@ -113,7 +111,7 @@ class ThroughputReport:
     @property
     def speedup_vs_seed(self) -> float:
         seed = self.engines.get("seed")
-        best = self.engines.get("parallel") or self.engines.get("fast")
+        best = self.engines.get("parallel")
         if seed is None or best is None or seed.samples_per_s <= 0:
             return 0.0
         return best.samples_per_s / seed.samples_per_s
@@ -151,9 +149,6 @@ class ThroughputReport:
             metrics["traffic_bytes_per_sample_fused"] = fused_model[
                 "bytes_per_sample"
             ]
-        fast_model = self.traffic.get("fast")
-        if fast_model:
-            metrics["traffic_bytes_per_sample_fast"] = fast_model["bytes_per_sample"]
         if self.plan:
             metrics["plan.samples_per_s"] = float(
                 self.plan.get("samples_per_s", 0.0)
@@ -204,7 +199,7 @@ class ThroughputReport:
 
         seed = self.engines.get("seed")
         rows = []
-        for name in ("seed", "fast", "fused", "parallel", "shm", "planned"):
+        for name in ("seed", "fused", "parallel", "shm", "planned"):
             engine = self.engines.get(name)
             if engine is None:
                 continue
@@ -276,6 +271,34 @@ def _time_engine(run_scores, batch: np.ndarray, repeats: int, warmup: int):
     return min(walls), float(np.mean(walls)), scores
 
 
+def score_divergence(
+    scores: dict[str, np.ndarray], masks: dict[str, np.ndarray], tolerate: bool
+) -> int:
+    """Rows whose int64 scores differ from the ``seed`` rows; worst stage.
+
+    Each stage in ``masks`` is compared row by row against
+    ``scores["seed"]`` on its own mask: samples a resilient runner
+    excluded (quarantined or failed shards) score zero and are compared
+    against nothing.  A row counts when *any* class score differs, so a
+    corruption that keeps the argmax still diverges.  Under ``tolerate``
+    (bitflip chaos, where divergence is the injected corruption itself)
+    the worst stage's count is returned; otherwise any divergent row
+    raises.
+    """
+    seed = scores["seed"]
+    worst = 0
+    for name, mask in masks.items():
+        diverged = int((scores[name][mask] != seed[mask]).any(axis=1).sum())
+        if tolerate:
+            worst = max(worst, diverged)
+        elif diverged:
+            raise AssertionError(
+                f"engine {name!r} diverged from the seed engine's score rows "
+                f"on {diverged} non-excluded samples"
+            )
+    return worst
+
+
 def bench_throughput(
     benchmark: str,
     batch: int = 256,
@@ -297,7 +320,7 @@ def bench_throughput(
     ``REPRO_PLAN``, ``"off"`` disables it, ``"auto"`` calibrates (or
     reuses the cache), a path loads a specific plan file.  With a plan
     active a sixth ``planned`` stage runs the calibrated configuration
-    through the resilient runner and joins the bit-exactness assertion.
+    through the resilient runner and joins the score-row exactness check.
     """
     from repro.core.inference import BitPackedUniVSA
     from repro.core.pipeline import run_benchmark
@@ -324,43 +347,34 @@ def bench_throughput(
     workers = resolve_workers(workers)
 
     engines: dict[str, EngineSample] = {}
-    predictions: dict[str, np.ndarray] = {}
+    scores: dict[str, np.ndarray] = {}
 
     # seed: legacy pipeline on legacy kernels, single thread.
     seed_engine = BitPackedUniVSA(run.artifacts, mode="legacy")
     seed_registry = MetricsRegistry()
     with using_kernels("legacy"), using_registry(seed_registry):
-        best, mean, scores = _time_engine(seed_engine.scores, levels, repeats, warmup)
+        best, mean, scores["seed"] = _time_engine(
+            seed_engine.scores, levels, repeats, warmup
+        )
     engines["seed"] = EngineSample(
         "seed", batch / best, best, mean, repeats,
         stages=stage_breakdown(seed_registry, prefix="packed."),
     )
-    predictions["seed"] = scores.argmax(axis=1)
-
-    # fast: overhauled pipeline, fast kernels, single thread.
-    fast_engine = BitPackedUniVSA(run.artifacts, mode="fast")
-    fast_registry = MetricsRegistry()
-    with using_kernels("fast"), using_registry(fast_registry):
-        best, mean, scores = _time_engine(fast_engine.scores, levels, repeats, warmup)
-    engines["fast"] = EngineSample(
-        "fast", batch / best, best, mean, repeats,
-        stages=stage_breakdown(fast_registry, prefix="packed."),
-    )
-    predictions["fast"] = scores.argmax(axis=1)
 
     # fused: single-pass tiled pipeline, fast kernels, single thread.
     fused_engine = BitPackedUniVSA(run.artifacts, mode="fused")
     fused_registry = MetricsRegistry()
     with using_kernels("fast"), using_registry(fused_registry):
         fused_engine.publish_traffic_metrics(fused_registry, batch=batch)
-        best, mean, scores = _time_engine(fused_engine.scores, levels, repeats, warmup)
+        best, mean, scores["fused"] = _time_engine(
+            fused_engine.scores, levels, repeats, warmup
+        )
     engines["fused"] = EngineSample(
         "fused", batch / best, best, mean, repeats,
         stages=stage_breakdown(fused_registry, prefix="packed."),
     )
-    predictions["fused"] = scores.argmax(axis=1)
 
-    # parallel: fast engine under the fault-tolerant worker pool.  Chaos
+    # parallel: fused engine under the fault-tolerant worker pool.  Chaos
     # comes from the environment (REPRO_CHAOS) so the same bench doubles
     # as the chaos-smoke entrypoint: under injected faults the runner must
     # still return an order-preserving batch with a populated report.
@@ -369,7 +383,7 @@ def bench_throughput(
     with using_kernels("fast"), using_registry(
         parallel_registry
     ), ResilientBatchRunner(
-        fast_engine,
+        fused_engine,
         shard_size=shard_size,
         workers=workers,
         executor=executor,
@@ -388,7 +402,7 @@ def bench_throughput(
         "parallel", batch / best, best, mean, repeats, stages=stages
     )
     report = result.report
-    predictions["parallel"] = result.predictions
+    scores["parallel"] = result.scores
 
     # shm: the fused engine under a process pool with zero-copy handoff —
     # the deployment path this bench exists to certify.  Runs under the
@@ -412,7 +426,7 @@ def bench_throughput(
         "shm", batch / best, best, mean, repeats, stages=shm_stages
     )
     shm_report = shm_result.report
-    predictions["shm"] = shm_result.predictions
+    scores["shm"] = shm_result.scores
     runs_timed = max(0, warmup) + max(1, repeats)
     shm_info = {
         # Counters accumulate over warmup + timed runs; per-batch numbers
@@ -427,7 +441,7 @@ def bench_throughput(
     }
     traffic = {
         mode: BitPackedUniVSA(run.artifacts, mode=mode).traffic_model(batch=batch)
-        for mode in ("legacy", "fast", "fused")
+        for mode in ("legacy", "fused")
     }
 
     # planned: the planner's winning configuration run end to end —
@@ -470,44 +484,28 @@ def bench_throughput(
             "planned", batch / best, best, mean, repeats, stages=planned_stages
         )
         planned_report = planned_result.report
-        predictions["planned"] = planned_result.predictions
+        scores["planned"] = planned_result.scores
         plan_info = active_plan.as_dict()
 
     # A throughput number from a non-bit-exact engine would be garbage:
-    # every engine must classify the workload identically.  Samples a
-    # resilient runner excluded (quarantined or failed shards) carry the
-    # sentinel label and are compared against nothing — each parallel
-    # stage is masked by its own report; under bitflip chaos divergence
-    # is the injected corruption itself, so it is counted and reported
-    # instead of asserted.
-    included = np.ones(batch, dtype=bool)
-    included[report.excluded] = False
-    shm_included = np.ones(batch, dtype=bool)
-    shm_included[shm_report.excluded] = False
+    # every engine must score the workload identically, row for row.
+    # Each parallel stage is masked by its own report.
+    def _included(stage_report) -> np.ndarray:
+        mask = np.ones(batch, dtype=bool)
+        mask[stage_report.excluded] = False
+        return mask
+
+    included = _included(report)
     masks = {
-        "fast": included,
         "fused": np.ones(batch, dtype=bool),
         "parallel": included,
-        "shm": shm_included,
+        "shm": _included(shm_report),
     }
     if planned_report is not None:
-        planned_included = np.ones(batch, dtype=bool)
-        planned_included[planned_report.excluded] = False
-        masks["planned"] = planned_included
-    mismatches = 0
-    for name, mask in masks.items():
-        diverged = int(
-            (predictions[name][mask] != predictions["seed"][mask]).sum()
-        )
-        if chaos.bitflip_rate > 0:
-            mismatches = max(mismatches, diverged)
-        elif diverged:
-            raise AssertionError(
-                f"engine {name!r} diverged from the seed engine on "
-                f"{diverged} non-excluded samples"
-            )
+        masks["planned"] = _included(planned_report)
+    mismatches = score_divergence(scores, masks, tolerate=chaos.bitflip_rate > 0)
     accuracy = (
-        float((predictions["parallel"][included] == labels[included]).mean())
+        float((result.predictions[included] == labels[included]).mean())
         if included.any()
         else 0.0
     )

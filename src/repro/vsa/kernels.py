@@ -10,8 +10,8 @@ popcount, a word-loop match) and a fast path built on NumPy ufuncs
 ``np.bitwise_count`` on NumPy >= 2, and a per-tap 256-entry byte-LUT
 gather for the match).  This module owns the choice:
 
-* the selection happens **once at import**
-  (``REPRO_KERNELS=legacy|fast|jit`` overrides it) and every call in
+* the selection happens **once at import** (``REPRO_KERNELS=legacy|fast``
+  overrides it; any other value raises) and every call in
   :mod:`repro.vsa.bitops` dispatches through the active
   :class:`KernelSet`;
 * :func:`using_kernels` temporarily swaps the set — the property tests
@@ -20,12 +20,6 @@ gather for the match).  This module owns the choice:
 * :func:`kernel_info` / :func:`publish_kernel_metrics` expose what is
   active, so every profile and ledger record is attributable to a
   specific kernel configuration.
-
-The ``jit`` set (:mod:`repro.vsa.kernels_jit`) is optional: it needs
-Numba, and when the import fails — the common case on minimal installs —
-selection **falls back to the fast set instead of erroring**, with the
-downgrade recorded in :func:`kernel_info` (``fallback_from``) so ledger
-records never misattribute a fast run to the jit backend.
 
 All pack implementations use the same bit order (element ``d`` of a
 vector lands at bit ``d % 64`` of word ``d // 64``), so packed artifacts
@@ -45,7 +39,6 @@ __all__ = [
     "KernelSet",
     "FAST_KERNELS",
     "LEGACY_KERNELS",
-    "JIT_KERNELS",
     "available_kernel_sets",
     "get_kernels",
     "set_kernels",
@@ -54,7 +47,6 @@ __all__ = [
     "kernel_info",
     "publish_kernel_metrics",
     "HAVE_BITWISE_COUNT",
-    "HAVE_JIT",
 ]
 
 WORD_BITS = 64
@@ -265,55 +257,27 @@ FAST_KERNELS = KernelSet(
 
 _SETS = {"legacy": LEGACY_KERNELS, "fast": FAST_KERNELS}
 
-# The optional Numba backend registers itself only when its import
-# chain succeeds; a missing/broken numba leaves JIT_KERNELS = None and
-# the reason in JIT_UNAVAILABLE_REASON.  Nothing below may hard-fail on
-# its absence — "jit requested but unavailable" downgrades to fast.
-JIT_KERNELS: KernelSet | None = None
-JIT_UNAVAILABLE_REASON: str | None = None
-try:
-    from .kernels_jit import build_jit_kernels, numba_unavailable_reason
-
-    JIT_KERNELS = build_jit_kernels()
-    if JIT_KERNELS is None:
-        JIT_UNAVAILABLE_REASON = numba_unavailable_reason()
-except Exception as exc:  # pragma: no cover — a broken numba install
-    JIT_KERNELS = None
-    JIT_UNAVAILABLE_REASON = f"{type(exc).__name__}: {exc}"
-
-HAVE_JIT = JIT_KERNELS is not None
-if HAVE_JIT:
-    _SETS["jit"] = JIT_KERNELS
-
-#: Name of the set a selection was downgraded from (``"jit"`` when the
-#: jit backend was requested but unavailable), ``None`` otherwise.
-_fallback_from: str | None = None
-
 
 def available_kernel_sets() -> dict[str, KernelSet]:
     """Name -> :class:`KernelSet` for every selectable set."""
     return dict(_SETS)
 
 
-def _resolve_set(name: str) -> KernelSet:
-    """Resolve a set name, downgrading an unavailable ``jit`` to fast."""
-    global _fallback_from
-    if name == "jit" and not HAVE_JIT:
-        _fallback_from = "jit"
-        return FAST_KERNELS
+def _resolve_set(name: str, source: str = "") -> KernelSet:
     try:
         return _SETS[name]
     except KeyError:
         raise ValueError(
-            f"unknown kernel set {name!r}; expected one of {sorted(_SETS)}"
+            f"unknown kernel set {name!r}{source}; expected one of {sorted(_SETS)}"
         ) from None
 
 
 def _default_kernels() -> KernelSet:
-    requested = os.environ.get("REPRO_KERNELS", "fast").strip().lower()
-    if requested == "jit":
-        return _resolve_set("jit")
-    return _SETS.get(requested, FAST_KERNELS)
+    """The set ``REPRO_KERNELS`` names (``fast`` when unset or blank)."""
+    raw = os.environ.get("REPRO_KERNELS", "").strip()
+    if not raw:
+        return FAST_KERNELS
+    return _resolve_set(raw.lower(), f" (REPRO_KERNELS={raw!r})")
 
 
 _active: KernelSet = _default_kernels()
@@ -327,10 +291,7 @@ def get_kernels() -> KernelSet:
 def set_kernels(kernels: KernelSet | str) -> KernelSet:
     """Install a kernel set (by name or instance); returns the active set.
 
-    Unknown names raise; ``"jit"`` on a host without Numba installs the
-    fast set instead (recorded as ``fallback_from`` in
-    :func:`kernel_info`) — the optional backend must never turn into a
-    hard failure.
+    Unknown names raise.
     """
     global _active
     if isinstance(kernels, str):
@@ -392,8 +353,6 @@ def kernel_info(kernels: KernelSet | None = None) -> dict:
         "match": active.match_impl,
         "numpy": np.__version__,
         "bitwise_count_available": HAVE_BITWISE_COUNT,
-        "jit_available": HAVE_JIT,
-        "fallback_from": _fallback_from,
     }
     info.update(cc_info())
     return info

@@ -1,11 +1,11 @@
-"""Fast-vs-legacy engine equivalence and conv-window regression tests.
+"""Fused-vs-legacy engine equivalence and conv-window regression tests.
 
-The overhauled fast pipeline (packed conv operands, integer match
-thresholds, tiled accumulation) must match the legacy stage pipeline and
-the integer reference *exactly* on every configuration — including
+The fast engine (``mode="fused"``: packed conv operands, XOR-space
+integer thresholds, tiled single-pass pipeline) must produce the legacy
+oracle's int64 score rows *exactly* on every configuration — including
 position counts that are not a multiple of 64, batch-norm-folded
-thresholds with channel flips, and tile sizes that force the conv stage
-through multiple chunks.  A naive Python loop pins the sliding-window
+thresholds with channel flips, and tile sizes that force the pipeline
+through multiple tiles.  A naive Python loop pins the sliding-window
 convolution so a future stride/transpose mistake cannot hide behind
 "both paths use the same helper".
 """
@@ -49,45 +49,49 @@ def _exported(shape, config=SMALL, seed=0, mask=True):
     return extract_artifacts(model)
 
 
+def _assert_rows_match_oracle(engine, levels):
+    """The engine's int64 score rows equal the legacy oracle's, row for row."""
+    oracle = BitPackedUniVSA(engine.artifacts, mode="legacy").scores(levels)
+    scores = engine.scores(levels)
+    assert scores.dtype == oracle.dtype == np.int64
+    np.testing.assert_array_equal(scores, oracle)
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_fast_matches_legacy_and_artifacts(self, shape):
         artifacts = _exported(shape)
         levels = _levels_batch(shape)
-        fast = BitPackedUniVSA(artifacts, mode="fast")
-        legacy = BitPackedUniVSA(artifacts, mode="legacy")
-        expected = artifacts.scores(levels)
-        np.testing.assert_array_equal(fast.scores(levels), expected)
-        np.testing.assert_array_equal(legacy.scores(levels), expected)
-        np.testing.assert_array_equal(
-            fast.encode(levels), artifacts.encode(levels)
-        )
+        fused = BitPackedUniVSA(artifacts)
+        assert fused.mode == "fused"
+        _assert_rows_match_oracle(fused, levels)
+        np.testing.assert_array_equal(fused.scores(levels), artifacts.scores(levels))
+        np.testing.assert_array_equal(fused.encode(levels), artifacts.encode(levels))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_fast_engine_on_legacy_kernels(self, shape):
-        """Engine mode and kernel set are orthogonal axes; every
-        combination must agree."""
+        """Engine mode and kernel set are orthogonal axes: the fused
+        engine built and run under the legacy kernel set still matches
+        the oracle's score rows."""
         artifacts = _exported(shape, seed=1)
         levels = _levels_batch(shape, seed=1)
-        expected = artifacts.scores(levels)
-        for kernels in ("fast", "legacy"):
-            with using_kernels(kernels):
-                engine = BitPackedUniVSA(artifacts, mode="fast")
-                np.testing.assert_array_equal(
-                    engine.scores(levels), expected, err_msg=f"kernels={kernels}"
-                )
+        with using_kernels("legacy"):
+            engine = BitPackedUniVSA(artifacts)
+            assert engine.conv_backend == "numpy"
+            _assert_rows_match_oracle(engine, levels)
 
     def test_tiny_tile_forces_chunked_conv(self):
-        """conv_tile_mb small enough that a 9-sample batch needs several
-        tiles; results must be identical to the untiled engine."""
+        """conv_tile_mb small enough that a 9-sample batch needs nine
+        one-sample tiles; score rows must equal the oracle's, and
+        ``encode()``, which runs the same tile loop, the legacy encoding."""
         shape = (13, 5)
         artifacts = _exported(shape, seed=2)
         levels = _levels_batch(shape, n=9, seed=2)
-        tiled = BitPackedUniVSA(artifacts, mode="fast", conv_tile_mb=1e-6)
-        assert tiled._conv_tile(shape[0] * shape[1], SMALL.out_channels) == 1
-        np.testing.assert_array_equal(
-            tiled.scores(levels), artifacts.scores(levels)
-        )
+        tiled = BitPackedUniVSA(artifacts, conv_tile_mb=1e-6)
+        assert tiled._fused_tile() == 1
+        _assert_rows_match_oracle(tiled, levels)
+        legacy = BitPackedUniVSA(artifacts, mode="legacy")
+        np.testing.assert_array_equal(tiled.encode(levels), legacy.encode(levels))
 
     def test_batchnorm_thresholds_and_flips(self):
         """Folded BN gives non-zero float thresholds and flipped
@@ -103,13 +107,11 @@ class TestEngineEquivalence:
         artifacts = extract_artifacts(model)
         assert np.abs(artifacts.conv_thresholds).max() > 0
         levels = _levels_batch(shape, seed=3)
-        fast = BitPackedUniVSA(artifacts, mode="fast")
+        fused = BitPackedUniVSA(artifacts)
         np.testing.assert_array_equal(
-            fast.encode(levels), artifacts.encode(levels)
+            fused.encode(levels), BitPackedUniVSA(artifacts, mode="legacy").encode(levels)
         )
-        np.testing.assert_array_equal(
-            fast.scores(levels), artifacts.scores(levels)
-        )
+        _assert_rows_match_oracle(fused, levels)
 
     def test_no_kernel_ablation(self):
         config = SMALL.with_ablation(True, False, 2)
@@ -117,29 +119,25 @@ class TestEngineEquivalence:
         model = UniVSAModel(shape, 3, config, mask=_mask(shape), seed=4)
         artifacts = extract_artifacts(model)
         levels = _levels_batch(shape, seed=4)
-        fast = BitPackedUniVSA(artifacts, mode="fast")
-        np.testing.assert_array_equal(
-            fast.scores(levels), artifacts.scores(levels)
-        )
-
-    def test_mode_env_override(self, monkeypatch):
-        artifacts = _exported((6, 10), seed=5)
-        monkeypatch.setenv("REPRO_ENGINE", "legacy")
-        assert BitPackedUniVSA(artifacts).mode == "legacy"
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        assert BitPackedUniVSA(artifacts).mode == "fast"
+        fused = BitPackedUniVSA(artifacts)
+        assert artifacts.kernel is None
+        _assert_rows_match_oracle(fused, levels)
 
     def test_rejects_unknown_mode(self):
         artifacts = _exported((6, 10), seed=5)
-        with pytest.raises(ValueError):
-            BitPackedUniVSA(artifacts, mode="warp")
+        for mode in ("warp", "fast"):
+            with pytest.raises(ValueError, match="unknown engine mode"):
+                BitPackedUniVSA(artifacts, mode=mode)
 
     def test_single_sample_and_empty_batch(self):
         shape = (6, 10)
         artifacts = _exported(shape, seed=6)
-        fast = BitPackedUniVSA(artifacts, mode="fast")
-        one = _levels_batch(shape, n=1, seed=6)
-        np.testing.assert_array_equal(fast.scores(one), artifacts.scores(one))
+        fused = BitPackedUniVSA(artifacts)
+        _assert_rows_match_oracle(fused, _levels_batch(shape, n=1, seed=6))
+        empty = _levels_batch(shape, n=0, seed=6)
+        _assert_rows_match_oracle(fused, empty)
+        assert fused.scores(empty).shape == (0, 3)
+        assert fused.encode(empty).shape == (0, shape[0] * shape[1])
 
 
 def _naive_conv2d_same(volume, kernel, pad_value=-1):
@@ -173,7 +171,7 @@ class TestSlidingWindowRegression:
         )
 
     def test_fast_conv_stage_matches_naive(self):
-        """End-to-end: the packed conv stage fires exactly where the
+        """End-to-end: the fused conv stage fires exactly where the
         naive integer convolution crosses its threshold."""
         shape = (5, 7)
         artifacts = _exported(shape, seed=8)
@@ -189,16 +187,16 @@ class TestSlidingWindowRegression:
         np.testing.assert_array_equal(
             artifacts.feature_map(volume), expected
         )
-        fast = BitPackedUniVSA(artifacts, mode="fast")
+        fused = BitPackedUniVSA(artifacts)
         np.testing.assert_array_equal(
-            fast.encode(levels), artifacts.encode(levels)
+            fused.encode(levels), artifacts.encode(levels)
         )
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_engine_equivalence_property(seed):
-    """Random configs and shapes: fast == legacy == integer reference."""
+    """Random configs and shapes: fused == legacy == integer reference."""
     gen = np.random.default_rng(seed)
     config = UniVSAConfig(
         d_high=int(gen.integers(2, 6)),
@@ -213,7 +211,6 @@ def test_engine_equivalence_property(seed):
     model = UniVSAModel(shape, 2, config, mask=mask, seed=seed % 1000)
     artifacts = extract_artifacts(model)
     levels = gen.integers(0, 8, size=(4,) + shape)
-    expected = artifacts.scores(levels)
-    for mode in ("fast", "legacy"):
-        engine = BitPackedUniVSA(artifacts, mode=mode)
-        np.testing.assert_array_equal(engine.scores(levels), expected)
+    fused = BitPackedUniVSA(artifacts)
+    _assert_rows_match_oracle(fused, levels)
+    np.testing.assert_array_equal(fused.scores(levels), artifacts.scores(levels))

@@ -3,11 +3,11 @@
 The fused mode runs one conv tile through DVP lookup → biconv byte-LUT
 match → encode → similarity before touching the next tile, so the
 dangerous seams are the tile edges: a batch exactly one sample short of,
-equal to, one past, and double the tile size must all match the fast
-engine (and the integer artifact reference) bit for bit.  The same suite
-covers BN-folded thresholds with channel flips, kernel-less ablation
-(where fusion degenerates to the DVP-only pipeline), the
-``REPRO_ENGINE=fused`` selection seam, and the loud ``conv_tile_mb`` /
+equal to, one past, and double the tile size must all produce the legacy
+oracle's int64 score rows (and the integer artifact reference's) bit for
+bit.  The same suite covers BN-folded thresholds with channel flips,
+kernel-less ablation (where fusion degenerates to the DVP-only
+pipeline), fused as the default mode, and the loud ``conv_tile_mb`` /
 ``REPRO_CONV_TILE_MB`` validation.
 """
 
@@ -48,27 +48,30 @@ def _exported(shape, config=SMALL, seed=0, mask=True):
     return extract_artifacts(model)
 
 
+def _oracle(artifacts, levels):
+    return BitPackedUniVSA(artifacts, mode="legacy").scores(levels)
+
+
 class TestFusedEquivalence:
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_fused_matches_fast_and_artifacts(self, shape):
+    def test_fused_matches_legacy_and_artifacts(self, shape):
         artifacts = _exported(shape)
         levels = _levels_batch(shape)
         fused = BitPackedUniVSA(artifacts, mode="fused")
-        expected = artifacts.scores(levels)
-        np.testing.assert_array_equal(fused.scores(levels), expected)
-        np.testing.assert_array_equal(
-            BitPackedUniVSA(artifacts, mode="fast").scores(levels), expected
-        )
+        scores = fused.scores(levels)
+        assert scores.dtype == np.int64
+        np.testing.assert_array_equal(scores, _oracle(artifacts, levels))
+        np.testing.assert_array_equal(scores, artifacts.scores(levels))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_fused_on_every_kernel_set(self, shape):
         """Engine mode and kernel set are orthogonal; the fused matcher
         comes from the active set's ``match_builder`` and every set must
-        agree (jit resolves to fast when numba is absent)."""
+        agree."""
         artifacts = _exported(shape, seed=1)
         levels = _levels_batch(shape, seed=1)
-        expected = artifacts.scores(levels)
-        for kernels in ("fast", "legacy", "jit"):
+        expected = _oracle(artifacts, levels)
+        for kernels in ("fast", "legacy"):
             with using_kernels(kernels):
                 engine = BitPackedUniVSA(artifacts, mode="fused")
                 np.testing.assert_array_equal(
@@ -77,10 +80,10 @@ class TestFusedEquivalence:
 
     def test_tile_boundary_sweep(self):
         """Batch sizes 1, tile-1, tile, tile+1, 2*tile around a forced
-        small tile — every boundary must be bit-exact vs the fast engine."""
+        small tile — every boundary must be bit-exact vs the legacy oracle."""
         shape = (13, 5)
         artifacts = _exported(shape, seed=2)
-        fast = BitPackedUniVSA(artifacts, mode="fast")
+        legacy = BitPackedUniVSA(artifacts, mode="legacy")
         # A budget small enough to force several-but-not-single-sample
         # tiles for this config (clamped to >= 1 sample regardless).
         fused = BitPackedUniVSA(artifacts, mode="fused", conv_tile_mb=0.02)
@@ -91,7 +94,7 @@ class TestFusedEquivalence:
             levels = _levels_batch(shape, n=n, seed=n)
             np.testing.assert_array_equal(
                 fused.scores(levels),
-                fast.scores(levels),
+                legacy.scores(levels),
                 err_msg=f"batch={n}, tile={tile}",
             )
 
@@ -102,9 +105,7 @@ class TestFusedEquivalence:
         fused = BitPackedUniVSA(artifacts, mode="fused", conv_tile_mb=1e-6)
         assert fused._fused_tile() == 1
         levels = _levels_batch(shape, n=5, seed=3)
-        np.testing.assert_array_equal(
-            fused.scores(levels), artifacts.scores(levels)
-        )
+        np.testing.assert_array_equal(fused.scores(levels), _oracle(artifacts, levels))
 
     def test_batchnorm_thresholds_and_flips(self):
         """Folded BN thresholds exercise the XOR-space bound conversion
@@ -120,9 +121,7 @@ class TestFusedEquivalence:
         assert np.abs(artifacts.conv_thresholds).max() > 0
         levels = _levels_batch(shape, seed=4)
         fused = BitPackedUniVSA(artifacts, mode="fused")
-        np.testing.assert_array_equal(
-            fused.scores(levels), artifacts.scores(levels)
-        )
+        np.testing.assert_array_equal(fused.scores(levels), _oracle(artifacts, levels))
 
     def test_no_kernel_ablation(self):
         """Kernel-less configs skip the conv stage; fused mode must
@@ -134,9 +133,7 @@ class TestFusedEquivalence:
         levels = _levels_batch(shape, seed=5)
         fused = BitPackedUniVSA(artifacts, mode="fused")
         assert fused._fused_matcher is None
-        np.testing.assert_array_equal(
-            fused.scores(levels), artifacts.scores(levels)
-        )
+        np.testing.assert_array_equal(fused.scores(levels), _oracle(artifacts, levels))
 
     def test_encode_matches_reference(self):
         shape = (6, 10)
@@ -147,15 +144,12 @@ class TestFusedEquivalence:
             fused.encode(levels), artifacts.encode(levels)
         )
 
-    def test_env_selects_fused(self, monkeypatch):
+    def test_default_selects_fused(self):
         artifacts = _exported((6, 10), seed=7)
-        monkeypatch.setenv("REPRO_ENGINE", "fused")
         engine = BitPackedUniVSA(artifacts)
         assert engine.mode == "fused"
         levels = _levels_batch((6, 10), n=3, seed=7)
-        np.testing.assert_array_equal(
-            engine.scores(levels), artifacts.scores(levels)
-        )
+        np.testing.assert_array_equal(engine.scores(levels), _oracle(artifacts, levels))
 
     def test_sibling_crosses_modes(self):
         artifacts = _exported((6, 10), seed=8)
@@ -185,37 +179,38 @@ class TestConvTileValidation:
     @pytest.mark.parametrize("bad", [0, -1, -0.5, float("nan"), float("inf")])
     def test_rejects_non_positive_or_non_finite(self, bad):
         with pytest.raises(ValueError, match="positive, finite"):
-            _resolve_conv_tile_mb(bad, "fast")
+            _resolve_conv_tile_mb(bad)
 
     def test_rejects_non_numeric(self):
         with pytest.raises(ValueError, match="conv_tile_mb='plenty'"):
-            _resolve_conv_tile_mb("plenty", "fused")
+            _resolve_conv_tile_mb("plenty")
 
     def test_env_source_named_in_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_CONV_TILE_MB", "lots")
         with pytest.raises(ValueError, match="REPRO_CONV_TILE_MB"):
-            _resolve_conv_tile_mb(None, "fast")
+            _resolve_conv_tile_mb(None)
         monkeypatch.setenv("REPRO_CONV_TILE_MB", "-3")
         with pytest.raises(ValueError, match="REPRO_CONV_TILE_MB"):
-            _resolve_conv_tile_mb(None, "fast")
+            _resolve_conv_tile_mb(None)
 
     def test_engine_constructor_propagates(self):
         artifacts = _exported((6, 10), seed=10)
         with pytest.raises(ValueError, match="positive, finite"):
-            BitPackedUniVSA(artifacts, mode="fast", conv_tile_mb=0)
+            BitPackedUniVSA(artifacts, mode="legacy", conv_tile_mb=0)
         with pytest.raises(ValueError, match="not a number"):
             BitPackedUniVSA(artifacts, mode="fused", conv_tile_mb="big")
 
     def test_env_default_and_override(self, monkeypatch):
         artifacts = _exported((6, 10), seed=10)
         monkeypatch.delenv("REPRO_CONV_TILE_MB", raising=False)
-        assert BitPackedUniVSA(artifacts, mode="fused").conv_tile_mb == 2.0
+        for mode in ("fused", "legacy"):
+            assert BitPackedUniVSA(artifacts, mode=mode).conv_tile_mb == 2.0
         monkeypatch.setenv("REPRO_CONV_TILE_MB", "0.5")
         assert BitPackedUniVSA(artifacts, mode="fused").conv_tile_mb == 0.5
 
     def test_blank_env_keeps_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_CONV_TILE_MB", "  ")
-        assert _resolve_conv_tile_mb(None, "fused") == 2.0
+        assert _resolve_conv_tile_mb(None) == 2.0
 
 
 class TestTrafficModel:
@@ -229,20 +224,20 @@ class TestTrafficModel:
             "tile_samples",
             "peak_intermediate_mb",
         }
-        for mode in ("legacy", "fast", "fused"):
+        for mode in ("legacy", "fused"):
             model = BitPackedUniVSA(artifacts, mode=mode).traffic_model(batch=32)
             assert keys <= set(model), mode
             assert model["mode"] == mode
             assert model["bytes_per_sample"] > 0
 
-    def test_fused_footprint_smaller_than_fast(self):
+    def test_fused_footprint_smaller_than_legacy(self):
         """The fusion claim itself: peak intermediates shrink by orders
         of magnitude while popcount work moves into LUT lookups."""
         artifacts = _exported((13, 5), seed=12)
-        fast = BitPackedUniVSA(artifacts, mode="fast").traffic_model(batch=256)
+        legacy = BitPackedUniVSA(artifacts, mode="legacy").traffic_model(batch=256)
         fused = BitPackedUniVSA(artifacts, mode="fused").traffic_model(batch=256)
-        assert fused["peak_intermediate_mb"] < fast["peak_intermediate_mb"]
-        assert fused["popcounts_per_sample"] < fast["popcounts_per_sample"]
+        assert fused["peak_intermediate_mb"] < legacy["peak_intermediate_mb"]
+        assert fused["popcounts_per_sample"] < legacy["popcounts_per_sample"]
         assert fused["lut_lookups_per_sample"] > 0
 
     def test_publish_traffic_metrics(self):

@@ -271,15 +271,13 @@ class TestBenchThroughput:
         out = capsys.readouterr().out
         assert "throughput bench" in out
         assert "speedup vs seed" in out
-        for engine in ("seed", "fast", "fused", "parallel", "shm"):
+        for engine in ("seed", "fused", "parallel", "shm"):
             assert engine in out
 
         import json
 
         payload = json.loads((tmp_path / "tp.json").read_text())
-        assert set(payload["engines"]) == {
-            "seed", "fast", "fused", "parallel", "shm"
-        }
+        assert set(payload["engines"]) == {"seed", "fused", "parallel", "shm"}
         assert payload["shm"]["bytes_shared"] > 0
         assert payload["traffic"]["fused"]["peak_intermediate_mb"] > 0
         assert ledger.exists()

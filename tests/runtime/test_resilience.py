@@ -34,7 +34,7 @@ FAST_POLICY = RetryPolicy(max_retries=2, backoff_base_s=0.0, backoff_max_s=0.0)
 @pytest.fixture(scope="module")
 def engine():
     model = UniVSAModel(SHAPE, 3, CONFIG, seed=0)
-    return BitPackedUniVSA(extract_artifacts(model), mode="fast")
+    return BitPackedUniVSA(extract_artifacts(model))
 
 
 def _levels_batch(n, seed=0):
@@ -217,6 +217,20 @@ class TestHealthyPath:
         assert [s.status for s in report.shards] == ["ok"] * len(report.shards)
         assert runner.last_report is report
 
+    def test_shard_engine_label_follows_runner_engine(self, engine):
+        """Every shard is attributed to the engine that scored it: the
+        runner's own mode, not a hard-coded label."""
+        levels = _levels_batch(12, seed=3)
+        for runner_engine in (engine, engine.sibling("legacy")):
+            with ResilientBatchRunner(
+                runner_engine, shard_size=4, workers=2, policy=FAST_POLICY,
+                chaos=ChaosSpec(),
+            ) as runner:
+                report = runner.run(levels).report
+            labels = [s["engine"] for s in report.as_dict()["shards"]]
+            assert labels == [runner_engine.mode] * 3
+        assert engine.mode == "fused"
+
     def test_scores_predict_stay_drop_in(self, engine):
         levels = _levels_batch(9, seed=2)
         with ResilientBatchRunner(
@@ -279,10 +293,11 @@ class TestFallback:
                 engine, shard_size=4, workers=2, policy=FAST_POLICY, chaos=chaos
             ) as runner:
                 result = runner.run(levels)
-        # REPRO_ENGINE parity: the legacy fallback is bit-exact.
+        # Fused/legacy parity: the legacy fallback is bit-exact.
         np.testing.assert_array_equal(result.scores, engine.scores(levels))
         status = result.report.shards[1]
         assert status.status == "fallback" and status.engine == "seed"
+        assert {s.engine for s in result.report.shards} == {"fused", "seed"}
         assert status.retries == 2
         assert result.report.fallbacks == 1 and result.report.degraded
         assert result.report.ok  # degraded but every sample served

@@ -7,10 +7,17 @@ set can be consumed by the other.  Edge dimensions straddle the 64-bit
 word boundary so the padding-bit handling is exercised, not assumed.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import repro
 
 from repro.vsa import (
     hamming_distance_packed,
@@ -21,8 +28,6 @@ from repro.vsa import (
 )
 from repro.vsa.kernels import (
     FAST_KERNELS,
-    HAVE_JIT,
-    JIT_KERNELS,
     LEGACY_KERNELS,
     available_kernel_sets,
     get_kernels,
@@ -34,11 +39,8 @@ from repro.vsa.kernels import (
 
 
 def _match_sets():
-    """Every registered kernel set (jit included when importable)."""
-    sets = [FAST_KERNELS, LEGACY_KERNELS]
-    if HAVE_JIT:
-        sets.append(JIT_KERNELS)
-    return sets
+    """Every registered kernel set."""
+    return [FAST_KERNELS, LEGACY_KERNELS]
 
 RNG = np.random.default_rng(11)
 
@@ -192,23 +194,43 @@ class TestMatchBuilderEquality:
 class TestDispatch:
     def test_available_sets(self):
         sets = available_kernel_sets()
-        expected = {"fast", "legacy"} | ({"jit"} if HAVE_JIT else set())
-        assert set(sets) == expected
+        assert set(sets) == {"fast", "legacy"}
         assert sets["fast"] is FAST_KERNELS
         assert sets["legacy"] is LEGACY_KERNELS
 
-    def test_jit_selection_never_hard_fails(self):
-        """``jit`` always resolves: to the jit set, or to fast (recorded)."""
-        with using_kernels("jit") as active:
-            if HAVE_JIT:
-                assert active.name == "jit"
-            else:
-                assert active is FAST_KERNELS
-                assert kernel_info()["fallback_from"] == "jit"
+    @pytest.mark.parametrize(
+        "value,outcome",
+        [("jit", "ValueError"), ("turbo", "ValueError"), (" Legacy ", "legacy"), ("", "fast")],
+    )
+    def test_env_selection(self, value, outcome):
+        """``REPRO_KERNELS`` picks a set at import; a name that is not a
+        set (a leftover ``jit`` included) fails loudly, naming the valid
+        sets, instead of silently running ``fast``."""
+        code = (
+            "from repro.vsa.kernels import get_kernels\n"
+            "print(get_kernels().name)\n"
+        )
+        src_dir = str(Path(repro.__file__).parents[1])
+        env = dict(os.environ, REPRO_KERNELS=value)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        if outcome == "ValueError":
+            assert proc.returncode != 0
+            assert f"REPRO_KERNELS={value!r}" in proc.stderr
+            assert "expected one of ['fast', 'legacy']" in proc.stderr
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == outcome
 
     def test_set_kernels_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown kernel set"):
-            set_kernels("turbo")
+        for name in ("turbo", "jit"):
+            with pytest.raises(ValueError, match="unknown kernel set"):
+                set_kernels(name)
 
     def test_using_kernels_restores_on_exit(self):
         before = get_kernels()
@@ -233,8 +255,6 @@ class TestDispatch:
             "match",
             "numpy",
             "bitwise_count_available",
-            "jit_available",
-            "fallback_from",
             "cc_conv_enabled",
             "cc_conv_compiled_taps",
             "cc_conv_unavailable_reason",
