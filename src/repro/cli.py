@@ -325,7 +325,6 @@ def _cmd_bench_throughput(args: argparse.Namespace) -> int:
         n_test=args.n_test,
         epochs=args.epochs,
         seed=args.seed,
-        shm=False if args.no_shm else None,
         plan=args.plan,
     )
     print(report.render())
@@ -1249,11 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution planner: 'auto' (calibrate or reuse the cache), "
         "'off', or a plan JSON path (default: REPRO_PLAN); when active a "
         "sixth 'planned' stage runs the calibrated configuration",
-    )
-    bench.add_argument(
-        "--no-shm", action="store_true",
-        help="pickle shards to process workers instead of the zero-copy "
-        "shared-memory handoff (the shm engine stage still runs, degraded)",
     )
     bench.add_argument("--n-train", type=int, default=120)
     bench.add_argument("--n-test", type=int, default=60)

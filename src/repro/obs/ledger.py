@@ -94,10 +94,11 @@ SEARCH_NAMESPACE = "search."
 SERVE_NAMESPACE = "serve."
 
 #: Counter namespace the zero-copy shard handoff records into
-#: (``batch.shm.{segments,bytes_shared,attach}`` plus the non-shm path's
-#: ``batch.bytes_pickled``).  Harvested into every record, so a serve or
-#: chaos ledger entry shows whether batches moved by name or by pickle —
-#: and how many segments a crash-recovery run had to re-share.
+#: (``batch.shm.{segments,bytes_shared,attach,plane_bytes}``).  Process
+#: pools hand every shard off through shared memory, so these are
+#: harvested into every record: a serve or chaos ledger entry shows how
+#: many bytes a run shared and how many segments a crash-recovery run
+#: had to re-share.
 SHM_NAMESPACE = "batch.shm."
 
 #: Counter/gauge namespace the fused single-pass datapath records into

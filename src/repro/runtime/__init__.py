@@ -2,7 +2,7 @@
 fault-tolerant serving (retry/fallback/quarantine/breaker + chaos) + the
 micro-batching online front end and its open-loop load harness."""
 
-from .batch import BatchRunner, WorkerPool, resolve_workers
+from .batch import WorkerPool, resolve_workers
 from .chaos import ChaosError, ChaosSpec, chaos_context, chaos_kernels, parse_chaos
 from .integrity import (
     ArtifactCorruptionError,
@@ -41,14 +41,13 @@ from .resilience import (
     validate_levels,
 )
 from .serve import MicroBatchServer, NetPolicy, ServePolicy, ServeResponse, serve_tcp
-from .shm import SharedArray, attach_view, leaked_segments, resolve_shm
+from .shm import SharedArray, attach_view, leaked_segments
 from .stream import StreamingClassifier, StreamingDecision
 from .throughput import EngineSample, ThroughputReport, bench_throughput
 
 __all__ = [
     "StreamingClassifier",
     "StreamingDecision",
-    "BatchRunner",
     "WorkerPool",
     "resolve_workers",
     "EngineSample",
@@ -81,7 +80,6 @@ __all__ = [
     "SharedArray",
     "attach_view",
     "leaked_segments",
-    "resolve_shm",
     # artifact integrity / self-healing
     "ArtifactCorruptionError",
     "IntegrityScrubber",

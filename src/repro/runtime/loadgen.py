@@ -8,9 +8,9 @@ a :class:`~repro.runtime.serve.MicroBatchServer` with Poisson or bursty
 and client count, and reports the latency/goodput curve: p50 / p99 /
 p99.9 request latency and goodput (ok-answers per second) per offered
 load, against a sequential one-sample-per-call inline baseline measured
-on the same engine.  Every ``ok`` answer is verified bit-identical to
-inline inference on the same sample, so a goodput number from a wrong
-answer cannot be reported.  The CLI appends a ``task="serve"`` ledger
+on the same engine.  Every ``ok`` answer's int64 score row is verified
+identical to the legacy oracle's row for the same sample, so a goodput
+number from a wrong answer cannot be reported.  The CLI appends a ``task="serve"`` ledger
 record that ``repro obs compare`` gates against a committed baseline.
 """
 
@@ -211,11 +211,17 @@ def summarize_point(
     duration_s: float,
     responses,
     wall_s: float,
-    reference_labels: np.ndarray,
+    reference_scores: np.ndarray,
     true_labels: np.ndarray,
 ) -> LoadPoint:
-    """Fold one run's responses (arrival order) into a :class:`LoadPoint`."""
-    n_bank = len(reference_labels)
+    """Fold one run's responses (arrival order) into a :class:`LoadPoint`.
+
+    Response ``k`` carries bank row ``k % len(reference_scores)``.  An
+    ``ok`` response is a mismatch unless its full int64 score row equals
+    the reference row, so a corrupted row that keeps its argmax still
+    counts.
+    """
+    n_bank = len(reference_scores)
     statuses = [r.status for r in responses]
     ok = [r for r in responses if r.status == "ok"]
     latencies = np.array([r.latency_s for r in ok], dtype=float) * 1e3
@@ -226,7 +232,11 @@ def summarize_point(
     mismatches = sum(
         1
         for k, r in enumerate(responses)
-        if r.status == "ok" and r.label != int(reference_labels[k % n_bank])
+        if r.status == "ok"
+        and (
+            r.scores is None
+            or not np.array_equal(r.scores, reference_scores[k % n_bank])
+        )
     )
     correct = [
         r.label == int(true_labels[k % n_bank])
@@ -386,7 +396,7 @@ class ServeBenchReport:
                 if self.best
                 else "n/a"
             ),
-            "mismatches vs inline": self.mismatches,
+            "score-row mismatches vs oracle": self.mismatches,
         }
         if self.chaos:
             fields["chaos"] = ", ".join(f"{k}={v}" for k, v in self.chaos.items() if v)
@@ -520,11 +530,11 @@ def bench_serve(
     policy = policy if policy is not None else ServePolicy()
     chaos = ChaosSpec.from_env()
 
-    # Inline baseline + bit-exact reference labels, measured outside the
-    # serve registry so serving stage breakdowns stay pure.
+    # Inline baseline + the legacy oracle's score rows, measured outside
+    # the serve registry so serving stage breakdowns stay pure.
     with using_registry(MetricsRegistry()):
         inline_per_s, inline_p50_ms, inline_p99_ms = _measure_inline(engine, bank)
-        reference_labels = engine.scores(bank).argmax(axis=1)
+        reference_scores = engine.sibling("legacy").scores(bank)
 
     if absolute_rates:
         offered = [(f"r{rate:g}", float(rate)) for rate in absolute_rates]
@@ -572,7 +582,7 @@ def bench_serve(
                             duration_s,
                             responses,
                             wall,
-                            reference_labels,
+                            reference_scores,
                             true_labels,
                         )
                     )

@@ -19,8 +19,8 @@ Consumers opt in through ``REPRO_PLAN``:
   or a full plan-cache mapping).
 
 Plans never *override* explicit knobs: :meth:`ExecutionPlan.runner_kwargs`
-is applied by ``BatchRunner`` / ``ResilientBatchRunner`` only to
-arguments the caller left at ``None``, and ``MicroBatchServer`` only
+is applied by ``ResilientBatchRunner`` only to arguments the caller
+left at ``None``, and ``MicroBatchServer`` only
 consults ``max_inflight`` when the policy still carries the default.
 Calibration asserts bit-exactness of every candidate against the inline
 engine before it is allowed to win — a faster-but-wrong configuration
@@ -78,9 +78,11 @@ class ExecutionPlan:
     """One calibrated knob assignment plus the provenance that keys it.
 
     ``executor`` is ``"inline"`` (no pool — the fused engine on the
-    calling thread), ``"thread"``, or ``"process"``; for ``inline`` the
-    pool knobs are inert but still recorded so the plan is a complete
-    description of the winning configuration.
+    calling thread), ``"thread"``, or ``"process"`` (which always hands
+    shards off through shared memory); for ``inline`` the pool knobs are
+    inert but still recorded so the plan is a complete description of
+    the winning configuration.  :meth:`from_dict` ignores keys that are
+    not fields, so cached plans written with retired knobs still load.
     """
 
     executor: str
@@ -88,7 +90,6 @@ class ExecutionPlan:
     shard_size: int | None
     conv_tile_mb: float
     max_inflight: int
-    use_shm: bool
     samples_per_s: float
     # --- provenance (cache identity + audit trail) ---
     key: str
@@ -114,7 +115,7 @@ class ExecutionPlan:
         return cls(**kwargs)
 
     def runner_kwargs(self) -> dict:
-        """Pool knobs for ``BatchRunner``-family constructors.
+        """Pool knobs for the ``ResilientBatchRunner`` constructor.
 
         Only meaningful when the plan picked a pooled executor; an
         ``inline`` plan maps to the thread executor with one worker,
@@ -126,7 +127,6 @@ class ExecutionPlan:
             "executor": self.executor,
             "workers": self.workers,
             "shard_size": self.shard_size,
-            "shm": self.use_shm if self.executor == "process" else None,
         }
 
     def ledger_metrics(self) -> dict:
@@ -136,7 +136,6 @@ class ExecutionPlan:
             "plan.conv_tile_mb": self.conv_tile_mb,
             "plan.max_inflight": float(self.max_inflight),
             "plan.workers": float(self.workers),
-            "plan.use_shm": float(self.use_shm),
             "plan.cpu_count": float(self.cpu_count),
         }
         for label, value in self.measurements:
@@ -291,10 +290,22 @@ def calibrate(
        ``max_inflight=2``, anything else stays serialized.
 
     Every candidate's scores are asserted bit-equal to the inline
-    engine before its throughput may be compared.
+    engine before its throughput may be compared.  Pool candidates run
+    under the fail-fast policy with chaos off: a calibration run must
+    measure the clean path, and any failure must surface.
     """
     from repro.core.inference import BitPackedUniVSA
-    from repro.runtime.batch import BatchRunner
+    from repro.runtime.chaos import ChaosSpec
+    from repro.runtime.resilience import ResilientBatchRunner, RetryPolicy
+
+    def _runner(engine, executor, workers):
+        return ResilientBatchRunner(
+            engine,
+            executor=executor,
+            workers=workers,
+            policy=RetryPolicy(max_retries=0, fallback=False, breaker_threshold=1),
+            chaos=ChaosSpec(),
+        )
 
     registry = get_registry()
     cpus = int(cpu_count if cpu_count is not None else (os.cpu_count() or 1))
@@ -322,25 +333,19 @@ def calibrate(
         "executor": "inline",
         "workers": 1,
         "shard_size": None,
-        "use_shm": False,
         "rate": best_tile_rate,
     }
     measurements.append(("inline", best_tile_rate))
     if cpus > 1:
-        pool_candidates = (
-            ("thread", {"executor": "thread", "shm": None}),
-            ("process_shm", {"executor": "process", "shm": True}),
-        )
-        for label, kwargs in pool_candidates:
-            with BatchRunner(inline_engine, workers=cpus, **kwargs) as runner:
+        for label, executor in (("thread", "thread"), ("process_shm", "process")):
+            with _runner(inline_engine, executor, cpus) as runner:
                 rate = _time_scores(runner.scores, levels, repeats, expected)
             measurements.append((label, rate))
             if rate > winner["rate"]:
                 winner = {
-                    "executor": kwargs["executor"],
+                    "executor": executor,
                     "workers": cpus,
                     "shard_size": None,
-                    "use_shm": bool(kwargs["shm"]),
                     "rate": rate,
                 }
 
@@ -348,12 +353,7 @@ def calibrate(
     def _winner_scores(x):
         if winner["executor"] == "inline":
             return inline_engine.scores(x)
-        with BatchRunner(
-            inline_engine,
-            executor=winner["executor"],
-            workers=winner["workers"],
-            shm=winner["use_shm"] if winner["executor"] == "process" else None,
-        ) as runner:
+        with _runner(inline_engine, winner["executor"], winner["workers"]) as runner:
             return runner.scores(x)
 
     start = perf_counter()
@@ -383,7 +383,6 @@ def calibrate(
         shard_size=winner["shard_size"],
         conv_tile_mb=float(best_tile),
         max_inflight=max_inflight,
-        use_shm=winner["use_shm"],
         samples_per_s=float(winner["rate"]),
         key=plan_key(cfg_hash, kernel_set, cpus),
         config_hash=cfg_hash,
@@ -414,7 +413,6 @@ def render_plan(plan: ExecutionPlan) -> str:
             "shard size": plan.shard_size if plan.shard_size else "auto",
             "conv tile": f"{plan.conv_tile_mb:g} MB",
             "max inflight": plan.max_inflight,
-            "shm": "on" if plan.use_shm else "off",
             "throughput": f"{plan.samples_per_s:,.0f} samples/s",
         },
         title="execution plan",

@@ -1,8 +1,30 @@
-"""Fault-tolerant batch serving: retry, fallback, quarantine, breaker.
+"""The runtime's batch runner: sharding, shm-only process pools, and a
+degradation ladder per shard.
 
-:class:`ResilientBatchRunner` wraps the :class:`~repro.runtime.batch.BatchRunner`
-sharding machinery with the failure handling a production deployment
-needs, following a fixed degradation ladder per shard:
+:class:`ResilientBatchRunner` shards a batch of quantized level frames
+across a worker pool, runs :class:`repro.core.BitPackedUniVSA` on each
+shard, and reassembles the scores in input order.  Threads are the
+default — the bit kernels are NumPy ufunc loops that release the GIL, so
+shards genuinely overlap — and process pools give memory isolation.
+
+A process pool always hands data over through shared memory
+(:mod:`repro.runtime.shm`), in both directions:
+
+* the **operand plane** holds the engine's resident read-only operands,
+  published once when the pool is built.  The one worker initializer
+  attaches it and reconstructs zero-copy views
+  (:meth:`BitPackedUniVSA.from_operand_state`); nothing engine-sized is
+  pickled at worker start-up.  A plane that cannot be published raises
+  when the pool is built;
+* the **request plane** holds the batch's levels, one parent-owned
+  segment per batch (reused across same-shape batches by a
+  :class:`~repro.runtime.shm.SegmentArena`); workers attach views by
+  name and span;
+* the **result plane** is a parent-allocated ``(B, n_classes)`` segment
+  the one worker shard function writes at its span offset, so the pipe
+  carries only ``(wall, telemetry_delta)`` back.
+
+Every shard follows a fixed degradation ladder:
 
 1. **Retry** — a shard attempt that raises, times out (``timeout_s``
    result deadline), or dies with its process worker is retried up to
@@ -37,6 +59,19 @@ are marked in ``benchmarks/results/ledger.jsonl``.
 Chaos specs (:mod:`repro.runtime.chaos`, ``REPRO_CHAOS``) plug into the
 same shard seam, which is how the whole ladder is exercised end to end
 in tests and the CI ``chaos-smoke`` job.
+
+``RetryPolicy(max_retries=0, fallback=False, breaker_threshold=1)`` is
+the fail-fast policy: the first failing shard opens the breaker, queued
+siblings are cancelled, and :class:`CircuitOpenError` reaches the caller.
+
+Observability: with a tracer active every shard becomes a
+``batch.shard`` span under a ``batch.run`` root annotated with batch
+size, shard count, and worker count (a process worker's spans live in
+its own process, so the parent observes their wall time instead);
+``batch.samples`` / ``batch.shards`` counters and a ``batch.workers``
+gauge record what the pool did; ``batch.shm.{segments, bytes_shared,
+reused, plane_bytes}`` and the worker-side ``batch.shm.attach`` count
+the handoff.
 """
 
 from __future__ import annotations
@@ -45,6 +80,7 @@ import os
 import threading
 import time
 from concurrent.futures import CancelledError as FuturesCancelledError
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -54,6 +90,7 @@ import numpy as np
 
 from repro.obs import annotate_span, get_registry, stage_timer, trace_span
 from repro.obs.telemetry import (
+    drain_pool,
     drain_worker_delta,
     install_worker_telemetry,
     merge_delta,
@@ -61,8 +98,7 @@ from repro.obs.telemetry import (
 )
 from repro.vsa.kernels import get_kernels, using_kernels
 
-from .batch import BatchRunner, _attach_plane_engine
-from .shm import SharedArray, attach_view
+from .batch import WorkerPool, _active_plan, resolve_workers
 from .chaos import (
     ChaosError,
     ChaosSpec,
@@ -70,6 +106,7 @@ from .chaos import (
     chaos_kernels,
     mark_process_worker,
 )
+from .shm import OperandPlane, SegmentArena, SharedArray, attach_plane, attach_view
 
 __all__ = [
     "RetryPolicy",
@@ -369,37 +406,36 @@ def validate_levels(
 
 
 # ---------------------------------------------------------------------------
-# process-pool plumbing (module level so spawn contexts can pickle it)
+# the process-pool worker (module level so spawn contexts can pickle it)
 # ---------------------------------------------------------------------------
 _WORKER_ENGINE = None
 _WORKER_CHAOS: ChaosSpec | None = None
 _WORKER_PLANE_KEY: tuple | None = None
 
 
-def _resilient_worker_init(source, chaos: ChaosSpec | None, telemetry: bool = False):
-    """Pool initializer: plane-attach or pickled-artifact engine + chaos.
+def _attach_engine(plane: tuple) -> None:
+    """(Re)build the worker engine over zero-copy views of an operand plane.
 
-    ``source`` mirrors :func:`repro.runtime.batch._process_worker_init`:
-    ``("plane", descriptor)`` attaches the parent-owned operand plane and
-    reconstructs zero-copy views; ``("artifacts", (artifacts, mode,
-    conv_tile_mb))`` rebuilds the engine from pickled artifacts.
+    The counter is gated on the initializer telemetry flag, so
+    observability-off pools never touch a registry.
     """
-    global _WORKER_ENGINE, _WORKER_CHAOS, _WORKER_PLANE_KEY
+    global _WORKER_ENGINE, _WORKER_PLANE_KEY
+    from repro.core.inference import BitPackedUniVSA
+
+    arrays, meta = attach_plane(plane)
+    _WORKER_ENGINE = BitPackedUniVSA.from_operand_state(arrays, meta)
+    _WORKER_PLANE_KEY = tuple(plane)
+    if worker_telemetry_installed():
+        get_registry().counter("batch.shm.plane_attach").add(1)
+
+
+def _worker_init(plane: tuple, chaos: ChaosSpec | None, telemetry: bool) -> None:
+    """Pool initializer: attach the operand plane, arm chaos, telemetry."""
+    global _WORKER_CHAOS
     from repro.vsa.kernels import publish_kernel_metrics, set_kernels
 
     mark_process_worker()  # this process may be hard-killed by crash chaos
-    kind, payload = source
-    if kind == "plane":
-        _WORKER_ENGINE = _attach_plane_engine(payload)
-        _WORKER_PLANE_KEY = tuple(payload)
-    else:
-        from repro.core.inference import BitPackedUniVSA
-
-        artifacts, mode, conv_tile_mb = payload
-        _WORKER_ENGINE = BitPackedUniVSA(
-            artifacts, mode=mode, conv_tile_mb=conv_tile_mb
-        )
-        _WORKER_PLANE_KEY = None
+    _attach_engine(plane)
     _WORKER_CHAOS = chaos
     if chaos is not None and chaos.bitflip_rate > 0.0:
         # chaos_kernels is a no-op on an already-wrapped set, so a fork
@@ -413,57 +449,34 @@ def _resilient_worker_init(source, chaos: ChaosSpec | None, telemetry: bool = Fa
         publish_kernel_metrics(get_registry())
 
 
-def _ensure_worker_engine(plane_descriptor: tuple | None) -> None:
-    """Detect an operand-plane generation bump and re-attach."""
-    global _WORKER_ENGINE, _WORKER_PLANE_KEY
-    if plane_descriptor is None:
-        return
-    if tuple(plane_descriptor) != _WORKER_PLANE_KEY:
-        _WORKER_ENGINE = _attach_plane_engine(plane_descriptor)
-        _WORKER_PLANE_KEY = tuple(plane_descriptor)
-
-
-def _resilient_worker_scores(shard: int, attempt: int, levels: np.ndarray):
-    start = perf_counter()
-    with chaos_context(_WORKER_CHAOS, shard, attempt):
-        scores = _WORKER_ENGINE.scores(levels)
-    return scores, perf_counter() - start, drain_worker_delta()
-
-
-def _resilient_worker_scores_shm(
-    descriptor: tuple,
+def _worker_scores(
+    request: tuple,
+    result: tuple,
+    plane: tuple,
     shard: int,
     attempt: int,
-    span_start: int,
-    span_stop: int,
-    out_descriptor: tuple | None = None,
-    plane: tuple | None = None,
-):
-    """Shm variant: the shard is a zero-copy view into the parent's segment.
+    start: int,
+    stop: int,
+) -> tuple[float, dict | None]:
+    """Score rows ``[start, stop)`` of the request plane into the result plane.
 
     The attach happens *inside* the chaos context — a crash draw kills
     the worker mid-handoff exactly like a real fault would, and the
-    parent's recovery must still unlink and re-share cleanly.  With an
-    ``out_descriptor`` the scores land in the parent's result plane at
-    the span offset and only the span crosses the pipe back; ``plane``
-    lets the worker detect an operand-plane generation bump per shard.
-    Worker-side counters are gated on the initializer telemetry flag so
-    observability-off pools never touch a registry on this path either.
+    parent's recovery must still unlink and re-share cleanly.  ``plane``
+    lets the worker detect an operand-plane generation bump
+    (``replace_engine``) per shard.  Only the wall time and the
+    telemetry delta cross the pipe back.
     """
-    start = perf_counter()
+    began = perf_counter()
     with chaos_context(_WORKER_CHAOS, shard, attempt):
-        _ensure_worker_engine(plane)
-        levels = attach_view(descriptor, span_start, span_stop)
+        if tuple(plane) != _WORKER_PLANE_KEY:
+            _attach_engine(plane)
+        levels = attach_view(request, start, stop)
         if worker_telemetry_installed():
             get_registry().counter("batch.shm.attach").add(1)
-        scores = _WORKER_ENGINE.scores(levels)
-        if out_descriptor is not None:
-            out = attach_view(out_descriptor, span_start, span_stop, writable=True)
-            out[...] = scores
-            payload = (span_start, span_stop)
-        else:
-            payload = scores
-    return payload, perf_counter() - start, drain_worker_delta()
+        out = attach_view(result, start, stop, writable=True)
+        out[...] = _WORKER_ENGINE.scores(levels)
+    return perf_counter() - began, drain_worker_delta()
 
 
 class _BatchSegments:
@@ -483,15 +496,33 @@ class _BatchSegments:
 # ---------------------------------------------------------------------------
 # the runner
 # ---------------------------------------------------------------------------
-class ResilientBatchRunner(BatchRunner):
+class ResilientBatchRunner:
     """Order-preserving sharded execution that survives failures.
 
-    Accepts everything :class:`~repro.runtime.batch.BatchRunner` does,
-    plus a :class:`RetryPolicy` (default :meth:`RetryPolicy.from_env`)
-    and a :class:`ChaosSpec` (default ``REPRO_CHAOS``).  ``run`` returns
-    a :class:`BatchResult`; ``scores``/``predict`` stay drop-in
-    compatible with the plain runner and stash the latest report on
-    ``last_report``.
+    Parameters
+    ----------
+    engine:
+        A :class:`repro.core.BitPackedUniVSA` (any mode).
+    shard_size:
+        Samples per shard; ``None`` splits the batch into about
+        ``2 x workers`` shards (see :meth:`effective_shard_size`).
+    workers:
+        Pool size; ``None`` resolves via :func:`resolve_workers`.  With
+        both ``shard_size`` and ``workers`` unset, a cached execution
+        plan (``REPRO_PLAN``) for the same executor fills them in.
+    executor:
+        ``"thread"`` (default) or ``"process"``.  Process workers
+        attach the shared operand plane in their initializer and
+        exchange every shard through shared memory.
+    mp_context:
+        Optional ``multiprocessing`` context for process mode.
+    policy:
+        The :class:`RetryPolicy` (default :meth:`RetryPolicy.from_env`).
+    chaos:
+        The :class:`ChaosSpec` (default ``REPRO_CHAOS``).
+
+    ``run`` returns a :class:`BatchResult`; ``scores``/``predict`` return
+    its arrays and stash the report on ``last_report``.
     """
 
     def __init__(
@@ -503,16 +534,28 @@ class ResilientBatchRunner(BatchRunner):
         mp_context=None,
         policy: RetryPolicy | None = None,
         chaos: ChaosSpec | None = None,
-        shm: bool | None = None,
     ) -> None:
-        super().__init__(
-            engine,
-            shard_size=shard_size,
-            workers=workers,
-            executor=executor,
-            mp_context=mp_context,
-            shm=shm,
-        )
+        if executor not in ("thread", "process"):
+            raise ValueError(
+                f"unknown executor {executor!r}; expected 'thread' or 'process'"
+            )
+        self.engine = engine
+        # A calibrated plan (REPRO_PLAN) fills in only the knobs the
+        # caller left unset — explicit arguments always win, so a plan
+        # can never silently override a deliberate configuration.
+        if shard_size is None and workers is None:
+            plan = _active_plan(engine)
+            if plan is not None and plan.executor == executor:
+                workers = plan.workers
+                shard_size = plan.shard_size
+        self.workers = resolve_workers(workers)
+        self.shard_size = shard_size
+        self.executor_kind = executor
+        self._mp_context = mp_context
+        self._workerpool = WorkerPool(self._make_pool)
+        self._plane: OperandPlane | None = None
+        self._plane_generation = 0
+        self._arena = SegmentArena()
         self.policy = policy if policy is not None else RetryPolicy.from_env()
         self.chaos = chaos if chaos is not None else ChaosSpec.from_env()
         if self.chaos.has_crash and self.executor_kind != "process":
@@ -528,49 +571,178 @@ class ResilientBatchRunner(BatchRunner):
         self._fallback_engine = None
         self._fallback_lock = threading.Lock()
 
-    # -- pool / worker seams -------------------------------------------
-    def _pool_initializer(self):
-        plane = self._ensure_plane()
-        if plane is not None:
-            source = ("plane", plane.descriptor())
-        else:
-            source = (
-                "artifacts",
-                (self.engine.artifacts, self.engine.mode, self.engine.conv_tile_mb),
+    @property
+    def _pool(self) -> Executor | None:
+        return self._workerpool.executor
+
+    # -- sharding -------------------------------------------------------
+    def effective_shard_size(self, n: int) -> int:
+        """The shard size a batch of ``n`` samples actually runs with.
+
+        Explicit ``shard_size`` wins; otherwise the batch splits into
+        about ``2 x workers`` shards.  The divisor is capped at ``n`` so
+        a degenerate batch (``n < workers``) yields ``n`` single-sample
+        shards instead of phantom empty ones.  A single-worker *thread*
+        runner gets one shard — inline execution is equivalent and there
+        is nobody to balance load against — but a single-worker process
+        runner keeps the 2-shard split: collapsing it to one shard would
+        take the inline shortcut and silently skip the pool, and with it
+        the isolation the caller asked for.
+        """
+        if n <= 0:
+            return 0
+        size = self.shard_size
+        if size is None:
+            one_shard = self.workers == 1 and self.executor_kind == "thread"
+            target = 1 if one_shard else self.workers * 2
+            size = -(-n // max(1, min(target, n)))
+        return max(1, int(size))
+
+    def _shards(self, n: int) -> list[tuple[int, int]]:
+        """(start, stop) spans covering ``range(n)`` in order."""
+        size = self.effective_shard_size(n)
+        if size <= 0:
+            return []
+        return [(start, min(start + size, n)) for start in range(0, n, size)]
+
+    # -- shared-memory planes (parent-owned) ----------------------------
+    def _share_batch(self, levels: np.ndarray, registry) -> SharedArray:
+        """The request plane: ``levels`` in a parent-owned segment."""
+        shared = self._arena.acquire(levels)
+        registry.counter("batch.shm.segments").add(1)
+        registry.counter("batch.shm.bytes_shared").add(shared.nbytes)
+        return shared
+
+    def _share_output(self, n: int, registry) -> SharedArray:
+        """The result plane: one ``(n, n_classes)`` segment per batch."""
+        n_classes = self.engine.artifacts.n_classes
+        out = self._arena.acquire_empty((n, n_classes), np.int64)
+        registry.counter("batch.shm.segments").add(1)
+        registry.counter("batch.shm.bytes_shared").add(out.nbytes)
+        return out
+
+    def _publish_plane(self) -> OperandPlane:
+        """Publish the current engine's operands as a fresh plane."""
+        arrays, meta = self.engine.operand_state()
+        self._plane_generation += 1
+        plane = OperandPlane(arrays, meta, generation=self._plane_generation)
+        registry = get_registry()
+        registry.counter("batch.shm.plane_published").add(1)
+        registry.counter("batch.shm.plane_bytes").add(plane.nbytes)
+        registry.gauge("batch.shm.plane_generation").set(self._plane_generation)
+        return plane
+
+    # -- pool lifecycle -------------------------------------------------
+    def _make_pool(self) -> Executor:
+        """Build a fresh worker pool (also the rebuild path after a crash).
+
+        Process workers get the operand plane, the chaos spec, and the
+        telemetry switch: workers install a recording registry only when
+        the parent registry is enabled at pool-build time, so
+        observability-off runs keep the zero-overhead path end to end.
+        """
+        if self.executor_kind == "thread":
+            return ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-batch"
             )
-        return _resilient_worker_init, (
-            source,
-            self.chaos if self.chaos.enabled else None,
-            get_registry().enabled,
+        import multiprocessing as mp
+
+        context = self._mp_context
+        if context is None:
+            method = "fork" if "fork" in mp.get_all_start_methods() else None
+            context = mp.get_context(method)
+        if self._plane is None:
+            self._plane = self._publish_plane()
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=context,
+            initializer=_worker_init,
+            initargs=(
+                self._plane.descriptor(),
+                self.chaos if self.chaos.enabled else None,
+                get_registry().enabled,
+            ),
         )
 
-    def _submit(
-        self,
-        pool,
-        shard: int,
-        attempt: int,
-        levels: np.ndarray,
-        span=None,
-        segments: _BatchSegments | None = None,
-    ):
+    def _ensure_pool(self) -> Executor:
+        return self._workerpool.ensure()
+
+    def _replace_pool(self, stale: Executor | None = None) -> Executor:
+        """Discard the (possibly broken) pool and spin up a fresh one.
+
+        A crashed process worker poisons the whole ``ProcessPoolExecutor``
+        — every pending future raises ``BrokenProcessPool`` — so recovery
+        is a pool replacement, not a worker restart.  ``stale`` makes
+        concurrent recoveries idempotent (see :meth:`WorkerPool.replace`).
+        """
+        return self._workerpool.replace(stale)
+
+    def replace_engine(self, engine) -> None:
+        """Hot-swap a rebuilt engine (the integrity repair path).
+
+        Thread workers read ``self.engine`` per shard, so the swap is
+        all they need.  A live process pool gets the new engine's
+        operand plane re-published under a new generation; workers see
+        the new descriptor on their next shard and re-attach — no pool
+        rebuild on any executor.  The legacy fallback is dropped too: a
+        sibling built over corrupted artifacts would re-serve the
+        corruption on the next degraded batch.  Callers serialize this
+        against in-flight batches (the serve layer drains its pipeline
+        to a barrier first).
+        """
+        self.engine = engine
+        self._fallback_engine = None
+        if self._plane is not None:
+            old, self._plane = self._plane, self._publish_plane()
+            old.dispose()
+
+    def close(self) -> None:
+        """Shut the worker pool down (idempotent).
+
+        Process pools are drained first: workers hold metric residue
+        recorded since their last shipped delta (e.g. a final task whose
+        result the parent already collected), and close is the last
+        chance to merge it.  Parent-owned segments (operand plane, arena
+        pool) are disposed here — nothing may outlive the runner.
+        """
+        executor = self._workerpool.executor
+        if executor is not None and self.executor_kind == "process":
+            drain_pool(executor, get_registry(), self.workers)
+        self._workerpool.close()
+        if self._plane is not None:
+            self._plane.dispose()
+            self._plane = None
+        self._arena.drain()
+
+    def __enter__(self) -> "ResilientBatchRunner":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    # -- shard attempts -------------------------------------------------
+    def _submit(self, pool, status: ShardStatus, clean: np.ndarray, segments):
+        """Submit attempt ``status.attempts`` of one shard to ``pool``."""
         if self.executor_kind == "thread":
-            return pool.submit(self._thread_shard, shard, attempt, levels)
-        if segments is not None and segments.request is not None and span is not None:
-            # Descriptors are read at submit time, so segments re-shared
-            # by pool recovery are picked up by every subsequent
-            # (re)submission automatically.
-            out = segments.result
             return pool.submit(
-                _resilient_worker_scores_shm,
-                segments.request.descriptor(),
-                shard,
-                attempt,
-                span[0],
-                span[1],
-                out.descriptor() if out is not None else None,
-                self._plane_descriptor(),
+                self._thread_shard,
+                status.index,
+                status.attempts,
+                clean[status.start : status.stop],
             )
-        return pool.submit(_resilient_worker_scores, shard, attempt, levels)
+        # Descriptors are read at submit time, so segments re-shared by
+        # pool recovery (and a plane re-published by replace_engine) are
+        # picked up by every subsequent (re)submission automatically.
+        return pool.submit(
+            _worker_scores,
+            segments.request.descriptor(),
+            segments.result.descriptor(),
+            self._plane.descriptor(),
+            status.index,
+            status.attempts,
+            status.start,
+            status.stop,
+        )
 
     def _thread_shard(self, shard: int, attempt: int, levels: np.ndarray) -> np.ndarray:
         with stage_timer("batch.shard"):
@@ -602,17 +774,6 @@ class ResilientBatchRunner(BatchRunner):
                     self._fallback_engine = self.engine.sibling("legacy")
             return self._fallback_engine
 
-    def replace_engine(self, engine) -> None:
-        """Hot-swap a rebuilt engine, also resetting the legacy fallback.
-
-        The integrity scrubber calls this on repair: a fallback sibling
-        built over the corrupted artifacts would re-serve the corruption
-        on the next degraded batch, so it is dropped and lazily rebuilt
-        from the repaired engine when next needed.
-        """
-        super().replace_engine(engine)
-        self._fallback_engine = None
-
     # -- public API -----------------------------------------------------
     def scores(self, levels: np.ndarray) -> np.ndarray:
         """Soft-voting class scores; quarantined rows are all-zero."""
@@ -621,6 +782,10 @@ class ResilientBatchRunner(BatchRunner):
     def predict(self, levels: np.ndarray) -> np.ndarray:
         """Predicted labels; quarantined/failed rows are ``-1``."""
         return self.run(levels).predictions
+
+    def score(self, levels: np.ndarray, y: np.ndarray) -> float:
+        """Mean accuracy over the sharded batch."""
+        return float((self.predict(levels) == np.asarray(y)).mean())
 
     def run(self, levels: np.ndarray) -> BatchResult:
         """Execute the batch through the full degradation ladder."""
@@ -660,7 +825,7 @@ class ResilientBatchRunner(BatchRunner):
                 # this process's kernel registry, and under a process
                 # executor the single-shard inline path and the fallback
                 # attempts run here too (pool workers install their own
-                # copy in _resilient_worker_init; chaos_kernels never
+                # copy in _worker_init; chaos_kernels never
                 # double-wraps a fork-inherited set).
                 with using_kernels(chaos_kernels(get_kernels())):
                     parts = self._execute_shards(clean, report)
@@ -672,6 +837,7 @@ class ResilientBatchRunner(BatchRunner):
     def _execute_shards(self, clean: np.ndarray, report: BatchReport):
         registry = get_registry()
         spans = self._shards(clean.shape[0])
+        annotate_span(shards=len(spans))
         registry.counter("batch.shards").add(len(spans))
         statuses = [
             ShardStatus(i, a, b, engine=self.engine.mode)
@@ -687,19 +853,14 @@ class ResilientBatchRunner(BatchRunner):
         )
         segments = _BatchSegments()
         if use_pool and self.executor_kind == "process":
-            if self.use_shm:
-                # Parent-owned request + result planes, one each per
-                # batch.  Batch-local, not runner state: pipelined
-                # serving interleaves batches through this runner, and
-                # each needs its own segments.  Handed back to the arena
-                # in the finally no matter how the ladder ends.
-                segments.request = self._share_batch(clean, registry)
-                segments.result = self._share_output(clean.shape[0], registry)
-                report.shm_bytes = segments.request.nbytes + segments.result.nbytes
-                # The zero-copy contract, measured not asserted.
-                registry.counter("batch.bytes_pickled_return").add(0)
-            else:
-                registry.counter("batch.bytes_pickled").add(clean.nbytes)
+            # Parent-owned request + result planes, one each per batch.
+            # Batch-local, not runner state: pipelined serving
+            # interleaves batches through this runner, and each needs
+            # its own segments.  Handed back to the arena in the finally
+            # no matter how the ladder ends.
+            segments.request = self._share_batch(clean, registry)
+            segments.result = self._share_output(clean.shape[0], registry)
+            report.shm_bytes = segments.request.nbytes + segments.result.nbytes
         try:
             return self._collect_shards(
                 clean, report, statuses, parts, use_pool, registry, segments
@@ -742,12 +903,7 @@ class ResilientBatchRunner(BatchRunner):
             try:
                 for status in statuses:
                     futures[status.index] = self._submit(
-                        pool,
-                        status.index,
-                        0,
-                        clean[status.start : status.stop],
-                        span=(status.start, status.stop),
-                        segments=segments,
+                        pool, status, clean, segments
                     )
                     pools[status.index] = pool
             except (BrokenProcessPool, RuntimeError):
@@ -781,17 +937,12 @@ class ResilientBatchRunner(BatchRunner):
                             # instead of escaping it.
                             lazy_pool = self._ensure_pool()
                             future = futures[i] = self._submit(
-                                lazy_pool,
-                                i,
-                                status.attempts,
-                                shard_levels,
-                                span=(status.start, status.stop),
-                                segments=segments,
+                                lazy_pool, status, clean, segments
                             )
                             pools[i] = lazy_pool
                         outcome = future.result(timeout=self.policy.timeout_s)
                         if self.executor_kind == "process":
-                            payload, duration, delta = outcome
+                            duration, delta = outcome
                             shard_hist.observe(duration)
                             # Each delta ships exactly once per collected
                             # result (workers reset after shipping), so
@@ -800,17 +951,12 @@ class ResilientBatchRunner(BatchRunner):
                             # pool replacement or _late_result collected
                             # a timed-out attempt.
                             merge_delta(registry, delta)
-                            if isinstance(payload, tuple):
-                                # Result-plane span: copy the scores out
-                                # now — the segments go back to the arena
-                                # before assembly runs.
-                                a, b = payload
-                                scores = np.array(segments.result.view()[a:b])
-                            else:
-                                registry.counter(
-                                    "batch.bytes_pickled_return"
-                                ).add(payload.nbytes)
-                                scores = payload
+                            # Copy the span out of the result plane now —
+                            # the segments go back to the arena before
+                            # assembly runs.
+                            scores = np.array(
+                                segments.result.view()[status.start : status.stop]
+                            )
                         else:
                             scores = outcome
                     else:
@@ -956,8 +1102,8 @@ class ResilientBatchRunner(BatchRunner):
         breakage) is excluded: the collector owns its accounting and
         resubmission.
 
-        Under shm handoff **both** planes are re-shared with fresh names
-        first: the dead pool's workers can no longer hold the old
+        Under a process pool **both** batch planes are re-shared with
+        fresh names first: the dead pool's workers can no longer hold the old
         mappings hostage, and fresh names guarantee resubmitted shards
         never attach to a segment a crashing worker might have been
         mid-write on.  Spans already completed into the old result plane
@@ -975,12 +1121,11 @@ class ResilientBatchRunner(BatchRunner):
         if segments is not None and segments.request is not None:
             old_request, old_result = segments.request, segments.result
             segments.request = self._share_batch(clean, registry)
-            if old_result is not None:
-                segments.result = self._share_output(clean.shape[0], registry)
-                # A worker that finished before the break already wrote
-                # its span; its kept future's payload must still resolve
-                # against the new plane.
-                segments.result.view()[:] = old_result.view()
+            segments.result = self._share_output(clean.shape[0], registry)
+            # A worker that finished before the break already wrote its
+            # span; its kept future must still resolve against the new
+            # plane.
+            segments.result.view()[:] = old_result.view()
             self._arena.discard(old_request)
             self._arena.discard(old_result)
         for status in statuses:
@@ -1001,14 +1146,7 @@ class ResilientBatchRunner(BatchRunner):
             status.errors.append("BrokenProcessPool")
             registry.counter("resilience.retries").add(1)
             try:
-                futures[j] = self._submit(
-                    pool,
-                    j,
-                    status.attempts,
-                    clean[status.start : status.stop],
-                    span=(status.start, status.stop),
-                    segments=segments,
-                )
+                futures[j] = self._submit(pool, status, clean, segments)
                 if pools is not None:
                     pools[j] = pool
             except (BrokenProcessPool, RuntimeError):

@@ -1,16 +1,15 @@
 """Zero-copy shard handoff over POSIX shared memory.
 
-Process executors previously pickled every shard's level array across
-the pool boundary — for a batch of B samples split into S shards that is
-B samples serialized, copied through a pipe, and deserialized, *per
-batch*.  :class:`SharedArray` replaces the payload with a name: the
+This is the only way data crosses a process-pool boundary.
+:class:`SharedArray` stands in for a pickled payload with a name: the
 parent materializes the batch **once** in a
 :mod:`multiprocessing.shared_memory` segment and submits ``(descriptor,
 start, stop)`` tuples; workers attach by name and slice a zero-copy
-read-only view.  The pipe now carries ~100 bytes per shard regardless of
-batch size.
+read-only view.  The pipe carries ~100 bytes per shard regardless of
+batch size.  :mod:`multiprocessing.shared_memory` ships with every
+supported Python, so there is no by-value fallback.
 
-The same segment machinery now serves three planes:
+The same segment machinery serves three planes:
 
 * the **request plane** — the batch's level array, read-only to workers;
 * the **result plane** — a parent-allocated ``(B, n_classes)`` score
@@ -18,15 +17,15 @@ The same segment machinery now serves three planes:
   (``attach_view(..., writable=True)``), so the return leg pickles a
   span tuple instead of an array;
 * the **operand plane** (:class:`OperandPlane`) — the packed engine's
-  resident read-only operands serialized once at pool spin-up; worker
-  initializers attach and reconstruct views instead of rebuilding the
-  engine from pickled artifacts.  ``replace_engine()`` repairs become a
-  re-publish plus a generation bump that workers detect per shard.
+  resident read-only operands serialized once at pool spin-up; the worker
+  initializer attaches and reconstructs views, so no engine is pickled
+  at worker start-up.  ``replace_engine()`` repairs are a re-publish
+  plus a generation bump that workers detect per shard.
 
 Ownership is strictly parent-side:
 
-* the parent (the :class:`~repro.runtime.batch.BatchRunner` that built
-  the segment) is the only unlinker — :meth:`SharedArray.dispose` closes
+* the parent (the :class:`~repro.runtime.resilience.ResilientBatchRunner`
+  that built the segment) is the only unlinker — :meth:`SharedArray.dispose` closes
   *and* unlinks, and runners call it in a ``finally`` so no segment
   outlives its batch, even when a shard raises;
 * workers only ever attach and close.  Attached handles are kept in a
@@ -82,7 +81,6 @@ __all__ = [
     "attach_view",
     "evict_attachments",
     "leaked_segments",
-    "resolve_shm",
 ]
 
 #: Every segment this module creates is named ``repro-shm-<pid>-<nonce>``.
@@ -149,21 +147,6 @@ class _Attachment:
                 self._mmap.close()
         except BufferError:  # a live ndarray still aliases the map
             pass
-
-
-def resolve_shm(flag: bool | None, executor_kind: str) -> bool:
-    """Whether a runner should hand shards off via shared memory.
-
-    Thread executors share the parent's address space already, so shm
-    only ever applies to process pools.  ``None`` defers to the
-    ``REPRO_SHM`` environment switch (default on).
-    """
-    if executor_kind != "process":
-        return False
-    if flag is None:
-        env = os.environ.get("REPRO_SHM", "1").strip().lower()
-        return env not in ("0", "false", "no", "off")
-    return bool(flag)
 
 
 def _fresh_name() -> str:

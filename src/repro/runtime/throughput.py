@@ -12,18 +12,17 @@ four engine configurations:
   match, cache-resident intermediates) on the fast kernels,
   single-threaded: the engine win in isolation;
 * ``parallel`` — the fused engine under a
-  :class:`~repro.runtime.resilience.ResilientBatchRunner` worker pool
-  with the handoff pinned to by-value (``shm=False``): the PR 3
-  deployment path, kept as the continuity baseline — for process
-  executors that means pickle-per-shard, exactly what the shm stage
-  replaces.
-  ``REPRO_CHAOS`` turns the same bench into a chaos smoke test: faults
-  are injected at the shard seam and the report must still account for
-  every sample;
+  :class:`~repro.runtime.resilience.ResilientBatchRunner` pool of the
+  bench's ``executor`` kind, run as deployed (a process pool hands
+  shards off through shared memory, so under ``executor="process"``
+  this stage and ``shm`` run the same path and
+  ``speedup_shm_vs_parallel`` is ~1).  ``REPRO_CHAOS`` turns the same
+  bench into a chaos smoke test: faults are injected at the shard seam
+  and the report must still account for every sample;
 * ``shm`` — the fused engine under a **process** pool with zero-copy
-  shared-memory shard handoff: the full deployment path this PR builds.
-  The same chaos spec applies, so a crash-chaos bench exercises pool
-  replacement + segment re-share end to end.
+  shared-memory shard handoff.  The same chaos spec applies, so a
+  crash-chaos bench exercises pool replacement + segment re-share end
+  to end.
 
 With the execution planner active (``REPRO_PLAN`` or the ``plan``
 argument) a fifth ``planned`` stage runs the calibrated winning
@@ -33,7 +32,8 @@ bit-exactness assertion like every other stage.
 
 The report also carries each mode's analytic memory-traffic model
 (``traffic``) and the shm run's handoff counters, which the ledger
-record surfaces as ``bytes_shared`` / ``bytes_pickled_estimate`` /
+record surfaces as ``bytes_shared`` / ``bytes_pickled_estimate`` (the
+batch's level bytes, what a pickled handoff would have moved) /
 ``intermediates_peak_mb`` so ``repro obs compare`` can gate
 data-movement regressions alongside throughput.
 
@@ -118,7 +118,7 @@ class ThroughputReport:
 
     @property
     def speedup_shm_vs_parallel(self) -> float:
-        """The zero-copy + fused deployment path vs the PR 3 parallel path."""
+        """The process/shm stage vs the ``parallel`` stage's executor."""
         parallel = self.engines.get("parallel")
         shm = self.engines.get("shm")
         if parallel is None or shm is None or parallel.samples_per_s <= 0:
@@ -311,7 +311,6 @@ def bench_throughput(
     n_test: int = 60,
     epochs: int = 2,
     seed: int = 0,
-    shm: bool | None = None,
     plan: str | None = None,
 ) -> ThroughputReport:
     """Train a small model on ``benchmark`` and measure samples/sec.
@@ -389,10 +388,6 @@ def bench_throughput(
         executor=executor,
         policy=RetryPolicy.from_env(),
         chaos=chaos,
-        # Pinned to the by-value handoff: this stage is the pre-zero-copy
-        # baseline the shm stage is judged against (no-op for threads,
-        # pickle-per-shard for process executors).
-        shm=False,
     ) as runner:
         publish_kernel_metrics(parallel_registry)
         best, mean, result = _time_engine(runner.run, levels, repeats, warmup)
@@ -416,7 +411,6 @@ def bench_throughput(
         executor="process",
         policy=RetryPolicy.from_env(),
         chaos=chaos,
-        shm=shm,
     ) as runner:
         publish_kernel_metrics(shm_registry)
         best, mean, shm_result = _time_engine(runner.run, levels, repeats, warmup)

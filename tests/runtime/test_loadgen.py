@@ -67,11 +67,13 @@ class TestArrivalTraces:
             client_arrivals(10.0, 1.0, trace="diurnal")
 
 
-def _response(status="ok", label=1, latency_s=0.01, batch_size=4, reason=""):
+def _response(
+    status="ok", label=1, latency_s=0.01, batch_size=4, reason="", scores=None
+):
     return ServeResponse(
         status=status,
         label=label,
-        scores=None,
+        scores=scores,
         latency_s=latency_s,
         batch_size=batch_size,
         reason=reason,
@@ -80,12 +82,16 @@ def _response(status="ok", label=1, latency_s=0.01, batch_size=4, reason=""):
 
 class TestSummarizePoint:
     def test_counts_percentiles_and_mismatches(self):
-        reference = np.array([1, 2])  # what the engine says for bank rows 0/1
+        # the oracle's score rows for bank rows 0/1 (argmax 1 and 2)
+        reference = np.array([[0, 5, 1], [2, 0, 9]], dtype=np.int64)
         truth = np.array([1, 0])  # ground truth: row 1's engine answer is wrong
         responses = [
-            _response(label=1, latency_s=0.010),  # k=0 -> ref 1: match, correct
-            _response(label=2, latency_s=0.020),  # k=1 -> ref 2: match, wrong class
-            _response(label=2, latency_s=0.030),  # k=2 -> ref 1: MISMATCH
+            # k=0 -> row 0: match, correct
+            _response(label=1, latency_s=0.010, scores=reference[0]),
+            # k=1 -> row 1: match, wrong class
+            _response(label=2, latency_s=0.020, scores=reference[1]),
+            # k=2 -> row 0: MISMATCH
+            _response(label=2, latency_s=0.030, scores=reference[1]),
             _response(status="rejected", label=-1, latency_s=0.0),
             _response(status="quarantined", label=-1, latency_s=0.005),
             _response(status="failed", label=-1, latency_s=0.005),
@@ -100,8 +106,23 @@ class TestSummarizePoint:
         assert point.accuracy == pytest.approx(1 / 3)  # k=0 correct of 3 ok
         assert point.mean_batch == pytest.approx(4.0)
 
+    def test_corrupted_row_with_same_argmax_is_a_mismatch(self):
+        reference = np.array([[0, 5, 1]], dtype=np.int64)
+        corrupted = reference[0].copy()
+        corrupted[2] = 4  # still argmax 1
+        responses = [
+            _response(label=1, scores=reference[0]),
+            _response(label=1, scores=corrupted),
+            _response(label=1, scores=None),  # ok without a row proves nothing
+        ]
+        point = summarize_point("x1", 10.0, 1.0, responses, 1.0, reference, np.array([1]))
+        assert point.mismatches == 2
+        assert point.accuracy == 1.0
+
     def test_empty_run_is_all_zeros(self):
-        point = summarize_point("x1", 10.0, 1.0, [], 1.0, np.array([0]), np.array([0]))
+        point = summarize_point(
+            "x1", 10.0, 1.0, [], 1.0, np.zeros((1, 3), np.int64), np.array([0])
+        )
         assert point.sent == 0 and point.goodput_per_s == 0.0
         assert point.p99_ms == 0.0 and point.accuracy == 0.0
 

@@ -9,6 +9,7 @@ only the knobs a caller left unset — explicit arguments always win.
 import asyncio
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ import pytest
 from repro.core import BitPackedUniVSA, UniVSAConfig, UniVSAModel, extract_artifacts
 from repro.obs import config_hash
 from repro.runtime import (
-    BatchRunner,
     ExecutionPlan,
     MicroBatchServer,
     ResilientBatchRunner,
@@ -32,6 +32,10 @@ from repro.runtime import (
 from repro.runtime.batch import _active_plan
 from repro.runtime.plan import cached_plan_for
 from repro.vsa.kernels import get_kernels
+
+COMMITTED_PLAN_CACHE = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "results" / "plan_cache.json"
+)
 
 LEVELS = 10
 SHAPE = (5, 8)
@@ -62,7 +66,6 @@ def _make_plan(engine, **overrides):
         shard_size=4,
         conv_tile_mb=2.0,
         max_inflight=1,
-        use_shm=False,
         samples_per_s=1.0,
         key=key,
         config_hash=config_hash(engine.artifacts.config),
@@ -108,7 +111,7 @@ class TestCalibration:
         if plan.executor == "inline":
             np.testing.assert_array_equal(candidate.scores(levels), expected)
         else:
-            with BatchRunner(candidate, **plan.runner_kwargs()) as runner:
+            with ResilientBatchRunner(candidate, **plan.runner_kwargs()) as runner:
                 np.testing.assert_array_equal(runner.scores(levels), expected)
 
     def test_ledger_metrics_are_flat_floats(self, plan):
@@ -119,6 +122,25 @@ class TestCalibration:
 
 
 class TestPlanCache:
+    def test_runner_kwargs_have_no_shm_switch(self, engine):
+        for executor in ("inline", "thread", "process"):
+            assert "shm" not in _make_plan(engine, executor=executor).runner_kwargs()
+
+    def test_plan_with_retired_use_shm_key_loads(self, engine):
+        """Cached plans written while ``use_shm`` was a knob (the
+        committed plan cache holds some) still load: the retired key is
+        ignored."""
+        payload = _make_plan(engine, executor="process").as_dict()
+        assert "use_shm" not in payload
+        payload["use_shm"] = True
+        loaded = ExecutionPlan.from_dict(payload)
+        assert loaded == _make_plan(engine, executor="process")
+        assert "plan.use_shm" not in loaded.ledger_metrics()
+        committed = load_plan_cache(COMMITTED_PLAN_CACHE)
+        assert committed
+        for entry in committed.values():
+            assert ExecutionPlan.from_dict(entry).key == entry["key"]
+
     def test_store_load_round_trip(self, plan, tmp_path):
         cache = tmp_path / "plans.json"
         store_plan(plan, cache)
@@ -204,7 +226,7 @@ class TestRunnerConsumption:
         cache = tmp_path / "plans.json"
         store_plan(_make_plan(engine, executor="thread", workers=2, shard_size=4), cache)
         monkeypatch.setenv("REPRO_PLAN", str(cache))
-        with BatchRunner(engine) as runner:
+        with ResilientBatchRunner(engine) as runner:
             assert runner.workers == 2
             assert runner.shard_size == 4
 
@@ -212,15 +234,15 @@ class TestRunnerConsumption:
         cache = tmp_path / "plans.json"
         store_plan(_make_plan(engine, workers=2, shard_size=4), cache)
         monkeypatch.setenv("REPRO_PLAN", str(cache))
-        with BatchRunner(engine, workers=1) as runner:
+        with ResilientBatchRunner(engine, workers=1) as runner:
             assert runner.workers == 1
             assert runner.shard_size is None
 
     def test_executor_mismatch_leaves_defaults(self, engine, tmp_path, monkeypatch):
         cache = tmp_path / "plans.json"
-        store_plan(_make_plan(engine, executor="process", use_shm=True), cache)
+        store_plan(_make_plan(engine, executor="process"), cache)
         monkeypatch.setenv("REPRO_PLAN", str(cache))
-        with BatchRunner(engine, executor="thread") as runner:
+        with ResilientBatchRunner(engine, executor="thread") as runner:
             assert runner.shard_size is None
 
     def test_planned_resilient_runner_is_bit_exact(self, engine, tmp_path, monkeypatch):
@@ -237,7 +259,7 @@ class TestRunnerConsumption:
         bad.write_text("[1, 2, 3]")
         monkeypatch.setenv("REPRO_PLAN", str(bad))
         assert _active_plan(engine) is None
-        with BatchRunner(engine) as runner:  # must not raise
+        with ResilientBatchRunner(engine) as runner:  # must not raise
             assert runner.shard_size is None
 
 

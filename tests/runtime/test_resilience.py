@@ -493,8 +493,9 @@ class TestProcessExecutor:
         monkeypatch.setattr(
             runner,
             "_submit",
-            lambda pool, shard, attempt, levels, span=None, segments=None: (
-                submitted.append((shard, attempt)) or f"resubmitted-{shard}"
+            lambda pool, status, clean, segments: (
+                submitted.append((status.index, status.attempts))
+                or f"resubmitted-{status.index}"
             ),
         )
         clean = np.zeros((16,) + SHAPE, dtype=np.intp)

@@ -13,14 +13,12 @@ import pytest
 from repro.core import BitPackedUniVSA, UniVSAConfig, UniVSAModel, extract_artifacts
 from repro.obs import MetricsRegistry, using_registry
 from repro.runtime import (
-    BatchRunner,
     ChaosSpec,
     ResilientBatchRunner,
     RetryPolicy,
     SharedArray,
     attach_view,
     leaked_segments,
-    resolve_shm,
 )
 from repro.runtime.shm import SHM_PREFIX, evict_attachments
 
@@ -161,38 +159,15 @@ class TestAttachmentPinning:
                 seg.dispose()
 
 
-class TestResolveShm:
-    def test_thread_executor_never_uses_shm(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "1")
-        assert resolve_shm(None, "thread") is False
-        assert resolve_shm(True, "thread") is False
-
-    def test_process_defaults_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert resolve_shm(None, "process") is True
-
-    @pytest.mark.parametrize("off", ["0", "false", "no", "off"])
-    def test_env_switch_off(self, monkeypatch, off):
-        monkeypatch.setenv("REPRO_SHM", off)
-        assert resolve_shm(None, "process") is False
-
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert resolve_shm(True, "process") is True
-        monkeypatch.setenv("REPRO_SHM", "1")
-        assert resolve_shm(False, "process") is False
-
-
 class TestBatchRunnerShm:
     def test_process_shm_matches_direct_engine(self, engine):
         levels = _levels_batch(12, seed=1)
         expected = engine.scores(levels)
         registry = MetricsRegistry()
         with using_registry(registry):
-            with BatchRunner(
-                engine, shard_size=4, workers=2, executor="process", shm=True
+            with ResilientBatchRunner(
+                engine, shard_size=4, workers=2, executor="process"
             ) as runner:
-                assert runner.use_shm
                 np.testing.assert_array_equal(runner.scores(levels), expected)
         # request plane + result plane, one segment each
         assert registry.counter("batch.shm.segments").value == 2
@@ -207,25 +182,12 @@ class TestBatchRunnerShm:
         # the return leg is spans, not pickled score arrays
         assert registry.counter("batch.bytes_pickled_return").value == 0
 
-    def test_process_without_shm_pickles(self, engine):
-        levels = _levels_batch(8, seed=2)
-        registry = MetricsRegistry()
-        with using_registry(registry):
-            with BatchRunner(
-                engine, shard_size=4, workers=2, executor="process", shm=False
-            ) as runner:
-                np.testing.assert_array_equal(
-                    runner.scores(levels), engine.scores(levels)
-                )
-        assert registry.counter("batch.shm.segments").value == 0
-        assert registry.counter("batch.bytes_pickled").value == levels.nbytes
-
 
 class TestResilientShm:
     def test_clean_run_populates_report(self, engine):
         levels = _levels_batch(16, seed=3)
         with ResilientBatchRunner(
-            engine, shard_size=4, workers=2, executor="process", shm=True
+            engine, shard_size=4, workers=2, executor="process"
         ) as runner:
             result = runner.run(levels)
         np.testing.assert_array_equal(result.scores, engine.scores(levels))
@@ -253,7 +215,6 @@ class TestResilientShm:
                 shard_size=8,
                 workers=2,
                 executor="process",
-                shm=True,
                 policy=RetryPolicy(max_retries=2, backoff_base_s=0.001),
                 chaos=ChaosSpec(crash_on=frozenset({(1, 0)})),
             ) as runner:
@@ -275,8 +236,8 @@ class TestResilientShm:
         levels = _levels_batch(16, seed=8)
         registry = MetricsRegistry()
         with using_registry(registry):
-            with BatchRunner(
-                engine, shard_size=4, workers=2, executor="process", shm=True
+            with ResilientBatchRunner(
+                engine, shard_size=4, workers=2, executor="process"
             ) as runner:
                 runner.scores(levels)
         assert registry.counter("batch.shm.attach").value == 4  # one per shard
@@ -291,7 +252,6 @@ class TestResilientShm:
             shard_size=4,
             workers=2,
             executor="process",
-            shm=True,
             policy=RetryPolicy(
                 max_retries=0, fallback=False, backoff_base_s=0.001,
                 breaker_threshold=5,
@@ -313,8 +273,8 @@ class TestSegmentChurn:
     def test_arena_reuses_segments_across_same_shape_batches(self, engine):
         levels = _levels_batch(12, seed=10)
         expected = engine.scores(levels)
-        with BatchRunner(
-            engine, shard_size=4, workers=2, executor="process", shm=True
+        with ResilientBatchRunner(
+            engine, shard_size=4, workers=2, executor="process"
         ) as runner:
             np.testing.assert_array_equal(runner.scores(levels), expected)
             first = (runner._arena.allocated, runner._arena.reused)
@@ -336,7 +296,6 @@ class TestSegmentChurn:
             shard_size=8,
             workers=2,
             executor="process",
-            shm=True,
             policy=RetryPolicy(max_retries=2, backoff_base_s=0.001),
             chaos=ChaosSpec(crash_on=frozenset({(1, 0)})),
         ) as runner:
@@ -367,8 +326,8 @@ class TestSegmentChurn:
         assert not np.array_equal(expected_a, expected_b)
         registry = MetricsRegistry()
         with using_registry(registry):
-            with BatchRunner(
-                engine_a, shard_size=4, workers=2, executor="process", shm=True
+            with ResilientBatchRunner(
+                engine_a, shard_size=4, workers=2, executor="process"
             ) as runner:
                 np.testing.assert_array_equal(runner.scores(levels), expected_a)
                 assert registry.counter("batch.shm.plane_attach").value == 0
