@@ -14,53 +14,72 @@ popcount adder trees do.
 The engine has two modes:
 
 * ``mode="fused"`` (default) runs the whole pipeline — DVP gather,
-  BiConv match, encode, similarity — one batch tile at a time, so every
-  intermediate of a tile is still cache-resident when the next stage
-  consumes it (``conv_tile_mb`` bounds one tile's working set).  The
-  per-level ValueBox rows are packed **once** at construction
-  (channel-major, byte granular), so the DVP stage is a packed gather
-  and the conv operand bytes are a sliding-window view over it.  The
-  conv match goes through the compiled fires kernel when available,
-  else the active kernel set's ``match_builder`` — per-tap 256-entry
-  XOR-popcount byte LUTs on the fast set — and the threshold compare
+  BiConv match, fires packing, encode, similarity — without stage-sized
+  intermediates.  The per-level ValueBox rows are packed **once** at
+  construction (channel-major, byte granular) and the threshold compare
   collapses to a single integer comparison in XOR-count space (see
-  ``_init_fused``).  ``encode()`` and ``scores()`` share the same tile
-  loop; ``scores()`` just adds the similarity stage per tile.
+  ``_init_fused``).  Two implementations share those operands:
+
+  - the **compiled datapath** (:mod:`repro.vsa.kernels_cc`), one C call
+    per batch that takes raw levels and writes score (or ``s``) rows in
+    place, running every stage per sample.  It is compiled (or its
+    cached build attached) at construction — in ``__init__`` and in
+    :meth:`~BitPackedUniVSA.from_operand_state` — so no timed call pays
+    for gcc;
+  - the **NumPy tile loop**, the one fallback: a batch tile flows
+    through a packed DVP gather, a sliding-window conv operand view, the
+    active kernel set's ``match_builder`` (per-tap 256-entry
+    XOR-popcount byte LUTs on the fast set), encode and similarity
+    before the next tile starts (``conv_tile_mb`` bounds one tile's
+    working set).
+
+  The choice is made **per call**: the compiled datapath runs only when
+  it was built (a compiler is present and ``REPRO_CC`` allows it), the
+  artifacts have a conv kernel, the active kernel set is the stock
+  ``fast`` set — never ``legacy`` or a wrapped (``+chaos``) set, whose
+  interposed primitives the C code would bypass — and every level is an
+  integer in ``[0, n_levels)``.  Anything else runs the NumPy loop, which
+  keeps NumPy's indexing semantics (``IndexError``, negative indices).
+  ``encode()`` and ``scores()`` share this dispatch.
 * ``mode="legacy"`` preserves the seed engine's per-call block packing;
   it is the oracle the fused engine is checked against, bit for bit, by
   the property suite and ``python -m repro bench-throughput``.
 
 ``traffic_model()`` exposes the analytic bytes-moved / popcount-ops per
-sample of the selected mode — the roofline numbers the throughput bench
-publishes as ``packed.traffic.*`` gauges.
+sample of the backend that runs — the roofline numbers the throughput
+bench publishes as ``packed.traffic.*`` gauges.
 
 Bit-exact equivalence between both modes, the integer path
 (`UniVSAArtifacts`), and the trained graph is enforced by tests — this
 engine doubles as the golden model for the cycle simulator in
 :mod:`repro.hw.simulator`.
 
-Every stage runs under a :func:`repro.obs.stage_timer` (``packed.dvp``,
-``packed.biconv``, ``packed.encode``, ``packed.similarity``) plus a
-``packed.samples`` counter; with the default null registry the
-instrumentation is a no-op branch.  ``scores()`` opens a
-``packed.classify`` trace root, so with a tracer active one call becomes
-a full span tree and the soft-vote margins land in the
-``quality.soft_vote_margin`` histogram.  The internal stages pack with
-``validate=False`` — their inputs are bipolar by construction, and the
-domain scan would otherwise dominate small-batch latency.
+Every stage is timed into ``packed.dvp``, ``packed.biconv`` (conv plus
+fires packing), ``packed.encode`` and ``packed.similarity`` histograms,
+plus a ``packed.samples`` counter: the NumPy loop through
+:func:`repro.obs.stage_timer` per tile, the compiled datapath through
+per-stage nanosecond totals the kernel accumulates and the engine
+observes once per call.  With the default null registry and no tracer
+the instrumentation is a no-op branch and the kernel reads no clock.
+``scores()`` opens a ``packed.classify`` trace root, so with a tracer
+active one call becomes a full span tree and the soft-vote margins land
+in the ``quality.soft_vote_margin`` histogram.  The internal stages pack
+with ``validate=False`` — their inputs are bipolar by construction, and
+the domain scan would otherwise dominate small-batch latency.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from time import perf_counter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.obs import annotate_span, get_registry, stage_timer, trace_span
+from repro.obs import annotate_span, get_registry, get_tracer, stage_timer, trace_span
 from repro.vsa.bitops import pack_bipolar, xnor_popcount
-from repro.vsa.kernels import WORD_BITS, get_kernels
+from repro.vsa.kernels import FAST_KERNELS, WORD_BITS, get_kernels
 
 from .export import UniVSAArtifacts, record_soft_vote_margins
 
@@ -71,6 +90,9 @@ __all__ = ["BitPackedUniVSA"]
 _DEFAULT_TILE_MB = 2.0
 
 _ENGINE_MODES = ("fused", "legacy")
+
+#: The compiled kernel's stage split, in its ``stage_ns`` slot order.
+_CC_STAGES = ("packed.dvp", "packed.biconv", "packed.encode", "packed.similarity")
 
 
 def _resolve_conv_tile_mb(value) -> float:
@@ -217,7 +239,7 @@ class BitPackedUniVSA:
 
         if artifacts.kernel is None:
             self._fused_matcher = None
-            self._cc_conv = None
+            self._cc = None
             return
         # Kernel bytes in conv *operand order*: for each tap (kh, kw) the
         # channel bits padded to whole bytes, concatenated — exactly the
@@ -236,41 +258,62 @@ class BitPackedUniVSA:
         self._fused_bound = np.where(flips, xor_lo - 1, xor_hi)
         self._fused_flip = flips
         self._fused_matcher = get_kernels().match_builder(self._kernel_tap_bytes)
-        self._init_cc_conv()
+        self._init_cc()
 
-    def _init_cc_conv(self) -> None:
-        """Attach the compiled conv backend when available.
+    def _init_cc(self) -> None:
+        """Compile (or attach the cached) whole-datapath C kernel.
 
-        The compiled kernel computes the *fires* plane directly from the
-        padded DVP byte volume — same tap tables, same XOR-space bounds,
-        bit-exact with the NumPy matcher path (re-encoded as an unsigned
-        inclusive window; see :mod:`repro.vsa.kernels_cc`).  The legacy
-        kernel set is the reference configuration, so it keeps the pure
-        NumPy path; anything else opts in unless ``REPRO_CC`` disables
-        the backend or the build fails, in which case the engine silently
-        keeps the matcher and ``kernel_info()`` records the reason.
+        Built at construction under any kernel set, so timed calls never
+        pay for gcc; whether a call may *use* it is decided per call (see
+        :meth:`_cc_for_call`).  ``None`` when ``REPRO_CC`` disables the
+        backend or the build fails — ``kernel_info()`` records the reason.
         """
-        self._cc_conv = None
-        if self.artifacts.kernel is None or get_kernels().name == "legacy":
-            return
-        from repro.vsa.kernels_cc import build_conv_fires
+        from repro.vsa.kernels_cc import build_fused
 
-        kernel = self.artifacts.kernel
-        k = kernel.shape[2]
-        nb = self._kernel_tap_bytes.shape[-1] // (k * k)
-        self._cc_conv = build_conv_fires(
-            self._kernel_tap_bytes, self._fused_bound, self._fused_flip, k, nb
+        self._cc = build_fused(
+            self._value_bytes_high,
+            self._value_bytes_low,
+            self._mask_bool if self._value_bytes_low is not None else None,
+            self._kernel_tap_bytes,
+            self._fused_bound,
+            self._fused_flip,
+            self.artifacts.kernel.shape[2],
+            self._feature_inv,
+            self._class_inv,
+            self._enc_bits,
+            self.input_shape,
         )
+
+    def _cc_for_call(self):
+        """The compiled kernel when the active kernel set is the stock
+        ``fast`` set, else ``None``.
+
+        The ``legacy`` set is the reference configuration and a wrapped
+        set (chaos ``+chaos``) interposes on ``popcount8``, which the C
+        code never calls — both must run the NumPy tile loop.
+        """
+        cc = getattr(self, "_cc", None)
+        if cc is not None and get_kernels() is FAST_KERNELS:
+            return cc
+        return None
 
     @property
     def conv_backend(self) -> str:
-        """Which BiConv implementation the fused path dispatches to."""
-        if getattr(self, "_cc_conv", None) is not None:
-            return "cc"
-        return "numpy"
+        """Which implementation a fused call under the active kernel set
+        dispatches to: ``"cc"`` (the compiled datapath) or ``"numpy"``."""
+        return "cc" if self._cc_for_call() is not None else "numpy"
 
     def _fused_tile(self) -> int:
-        """Batch-tile size keeping one tile's *entire* pipeline in budget."""
+        """Samples per fused scheduling unit under the active kernel set.
+
+        The compiled kernel runs one sample through every stage before
+        the next (its scratch is per sample); the NumPy loop runs
+        :meth:`_numpy_tile` samples per tile.
+        """
+        return 1 if self._cc_for_call() is not None else self._numpy_tile()
+
+    def _numpy_tile(self) -> int:
+        """NumPy batch-tile size keeping one tile's *entire* pipeline in budget."""
         kernel = self.artifacts.kernel
         p = self.positions
         if kernel is None:
@@ -285,10 +328,12 @@ class BitPackedUniVSA:
         return max(1, int(budget // max(per_sample, 1)))
 
     def _run_fused(self, levels: np.ndarray, similarity: bool) -> np.ndarray:
-        """The single-pass tile loop shared by ``encode()`` and ``scores()``.
+        """The fused datapath shared by ``encode()`` and ``scores()``.
 
-        Each tile runs DVP → BiConv → pack → encode and, for scores, the
-        similarity stage before the next tile starts, so every
+        One C call over the whole batch when :meth:`_cc_for_call` allows
+        it and every level is an in-range integer; otherwise the NumPy
+        tile loop, where each tile runs DVP → BiConv → pack → encode and,
+        for scores, similarity before the next tile starts, so every
         intermediate is still cache-resident when its consumer reads it.
         """
         levels = np.asarray(levels).reshape((-1,) + self.input_shape)
@@ -299,7 +344,12 @@ class BitPackedUniVSA:
             out = np.empty((b, self._class_inv.shape[1]), dtype=np.int64)
         else:
             out = np.empty((b, self.positions), dtype=np.int8)
-        tile = self._fused_tile()
+        cc = self._cc_for_call()
+        if cc is not None and levels.dtype.kind in "iu" and self._run_cc(cc, levels, out):
+            registry.counter("packed.fused.tiles").add(b)
+            registry.gauge("packed.fused.tile_size").set(1)
+            return out
+        tile = self._numpy_tile()
         n_tiles = 0
         for start in range(0, b, tile):
             stop = min(start + tile, b)
@@ -309,6 +359,34 @@ class BitPackedUniVSA:
         registry.counter("packed.fused.tiles").add(n_tiles)
         registry.gauge("packed.fused.tile_size").set(tile)
         return out
+
+    def _run_cc(self, cc, levels: np.ndarray, out: np.ndarray) -> bool:
+        """One compiled call; ``False`` when a level is out of range.
+
+        With the registry or a tracer on, the kernel accumulates per-stage
+        nanoseconds, observed once per call into the ``packed.dvp`` /
+        ``packed.biconv`` (conv + fires pack) / ``packed.encode`` /
+        ``packed.similarity`` histograms and laid out back to back as
+        child spans of the open trace span.
+        """
+        levels = np.ascontiguousarray(levels, dtype=np.int64)
+        registry = get_registry()
+        tracer = get_tracer()
+        if not (registry.enabled or tracer.enabled):
+            return cc.run(levels, out)
+        stage_ns = np.zeros(4, dtype=np.int64)
+        start = perf_counter()
+        if not cc.run(levels, out, stage_ns):
+            return False
+        stages = _CC_STAGES if out.dtype == np.int64 else _CC_STAGES[:3]
+        for name, ns in zip(stages, stage_ns.tolist()):
+            seconds = ns * 1e-9
+            if registry.enabled:
+                registry.histogram(name).observe(seconds)
+            if tracer.enabled:
+                tracer.close_span(tracer.open_span(name), start, start + seconds)
+            start += seconds
+        return True
 
     def _encode_tile(self, levels: np.ndarray) -> np.ndarray:
         """One tile through DVP → BiConv → pack → encode: -> s (T, P) int8."""
@@ -322,15 +400,12 @@ class BitPackedUniVSA:
                 pad = k // 2
                 # Zero bytes are the all -1 channel vector — the border padding.
                 padded = np.pad(volume_bytes, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-                if self._cc_conv is not None:
-                    fires = self._cc_conv(padded)  # (T, P, O) uint8 0/1
-                else:
-                    windows = sliding_window_view(padded, (k, k), axis=(1, 2))
-                    operand = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
-                        n, self.positions, -1
-                    )
-                    counts = self._fused_matcher(operand)  # (T, P, O) XOR bits
-                    fires = (counts <= self._fused_bound) ^ self._fused_flip
+                windows = sliding_window_view(padded, (k, k), axis=(1, 2))
+                operand = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+                    n, self.positions, -1
+                )
+                counts = self._fused_matcher(operand)  # (T, P, O) XOR bits
+                fires = (counts <= self._fused_bound) ^ self._fused_flip
             feature_words = _bytes_to_words(_pack_bytes(fires))
         else:
             feature_words = _bytes_to_words(volume_bytes.reshape(n, self.positions, -1))
@@ -514,9 +589,11 @@ class BitPackedUniVSA:
         packed operands are adopted as-is (typically read-only zero-copy
         views of a shared-memory plane), so construction does no packing,
         inverting, or threshold folding.  Only the fused matcher closure
-        and the optional compiled conv backend are (re)built — both are
-        pure functions of the adopted tap bytes and bounds.  Bit-exact
-        with a from-artifacts construction by the property suite.
+        and the compiled datapath are (re)built — the matcher from the
+        adopted tap bytes, the compiled kernel (cached build attached, tap
+        tables and bound windows derived) reading the adopted ValueBox and
+        feature/class views in place.  Bit-exact with a from-artifacts
+        construction by the property suite.
         """
         def _artifact(name: str):
             return arrays.get(f"artifacts.{name}")
@@ -552,10 +629,10 @@ class BitPackedUniVSA:
                 self._fused_matcher = get_kernels().match_builder(
                     self._kernel_tap_bytes
                 )
-                self._init_cc_conv()
+                self._init_cc()
             else:
                 self._fused_matcher = None
-                self._cc_conv = None
+                self._cc = None
         return self
 
     def sibling(self, mode: str, conv_tile_mb: float | None = None) -> "BitPackedUniVSA":
@@ -573,16 +650,18 @@ class BitPackedUniVSA:
         )
 
     def traffic_model(self, batch: int = 256) -> dict:
-        """Analytic memory-traffic / op-count model of this mode (roofline).
+        """Analytic memory-traffic / op-count model of the backend that runs.
 
         Per-sample estimates of what the stage pipeline *touches* in
         intermediate arrays (reads + writes at ufunc granularity, bytes),
         how many 64-bit popcount ops and byte-LUT lookups it issues, and
-        the peak intermediate footprint one scheduling unit holds (a
-        fused tile, or the whole ``batch`` in legacy mode).  The
-        footprint is the roofline's x-axis: a pipeline whose tile
-        footprint fits in cache pays DRAM only for its inputs, one that
-        does not pays DRAM for every intermediate pass.
+        the peak intermediate footprint one scheduling unit holds (one
+        sample's scratch in the compiled kernel, a NumPy fused tile, or
+        the whole ``batch`` in legacy mode).  The footprint is the
+        roofline's x-axis: a pipeline whose tile footprint fits in cache
+        pays DRAM only for its inputs, one that does not pays DRAM for
+        every intermediate pass.  ``backend`` names the fused
+        implementation the model describes (see :attr:`conv_backend`).
         """
         p = self.positions
         theta, n_classes = self._class_packed.shape[:2]
@@ -593,7 +672,19 @@ class BitPackedUniVSA:
         # then pack + XOR/popcount against the class words (per sample).
         tail_bytes = p * wf * 18 + p * 2 + theta * n_classes * ws * 18
         tail_pops = p * wf + theta * n_classes * ws
-        if kernel is None:
+        cc = self._cc_for_call() if self.mode == "fused" else None
+        if cc is not None:
+            # No intermediate planes: int64 levels in, int64 score rows
+            # out; everything else lives in the per-sample scratch.
+            o = kernel.shape[0]
+            model = {
+                "bytes_per_sample": float(p * 8 + n_classes * 8),
+                "popcounts_per_sample": float(tail_pops),
+                "lut_lookups_per_sample": float(p * o * cc.taps),
+                "tile_samples": 1,
+                "peak_intermediate_mb": cc.scratch_bytes / (1 << 20),
+            }
+        elif kernel is None:
             model = {
                 "bytes_per_sample": float(tail_bytes),
                 "popcounts_per_sample": float(tail_pops),
@@ -613,7 +704,7 @@ class BitPackedUniVSA:
                 conv_bytes = 2 * p * block_bytes + p * block_bytes * (1 + 5 * o)
                 conv_pops = 0
                 lut = p * o * block_bytes
-                tile = self._fused_tile()
+                tile = self._numpy_tile()
                 peak = tile * p * (o * 4 + block_bytes + 16)
             else:
                 # Legacy materializes the int8 operand block and packs it
@@ -631,6 +722,7 @@ class BitPackedUniVSA:
                 "peak_intermediate_mb": peak / (1 << 20),
             }
         model["mode"] = self.mode
+        model["backend"] = self.conv_backend
         return model
 
     def publish_traffic_metrics(self, registry=None, batch: int = 256) -> None:

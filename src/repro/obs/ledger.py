@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -379,6 +380,12 @@ class ComparisonReport:
         )
 
 
+#: Rate metrics the throughput gate covers: ``per_s`` as a whole token
+#: (a per-sample count such as ``traffic_bytes_per_sample_fused`` is
+#: lower-is-better and must not be gated as a rate) or ``throughput``.
+_RATE_METRIC = re.compile(r"per_s(?:_|$)|throughput")
+
+
 def compare_records(
     current: RunRecord,
     baseline: RunRecord,
@@ -391,8 +398,10 @@ def compare_records(
 
     Accuracy-style metrics (names containing ``accuracy``) fail when they
     drop more than ``max_accuracy_drop`` below the baseline.  Rate-style
-    metrics (names containing ``per_s`` or ``throughput``; higher is
-    better) fail when ``current < baseline * (1 - max_throughput_drop)``.
+    metrics (names with a ``per_s`` token — ``samples_per_s``,
+    ``samples_per_s_fused``, not ``bytes_per_sample`` — or containing
+    ``throughput``; higher is better) fail when
+    ``current < baseline * (1 - max_throughput_drop)``.
     Stage p95 latencies fail when
     ``current > baseline * (1 + max_p95_regression)``.  Metrics present
     on only one side are skipped — a baseline can gate accuracy alone by
@@ -417,9 +426,7 @@ def compare_records(
             MetricCheck(name, "accuracy", cur, base, limit, cur >= limit - 1e-12)
         )
     for name in sorted(baseline.metrics):
-        if ("per_s" not in name and "throughput" not in name) or (
-            name not in current.metrics
-        ):
+        if not _RATE_METRIC.search(name) or name not in current.metrics:
             continue
         base = float(baseline.metrics[name])
         if base <= 0.0:

@@ -21,6 +21,7 @@ from repro.core.inference import _resolve_conv_tile_mb
 from repro.nn import Tensor
 from repro.obs import MetricsRegistry, using_registry
 from repro.vsa.kernels import using_kernels
+from repro.vsa.kernels_cc import reset_cc
 
 LEVELS = 12
 SMALL = UniVSAConfig(
@@ -52,6 +53,16 @@ def _oracle(artifacts, levels):
     return BitPackedUniVSA(artifacts, mode="legacy").scores(levels)
 
 
+@pytest.fixture
+def numpy_loop(monkeypatch):
+    """Fused engines built here run the NumPy tile loop: the compiled
+    datapath has no tiles, so tile seams exist only on this path."""
+    monkeypatch.setenv("REPRO_CC", "0")
+    reset_cc()
+    yield
+    reset_cc()
+
+
 class TestFusedEquivalence:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_fused_matches_legacy_and_artifacts(self, shape):
@@ -78,7 +89,7 @@ class TestFusedEquivalence:
                     engine.scores(levels), expected, err_msg=f"kernels={kernels}"
                 )
 
-    def test_tile_boundary_sweep(self):
+    def test_tile_boundary_sweep(self, numpy_loop):
         """Batch sizes 1, tile-1, tile, tile+1, 2*tile around a forced
         small tile — every boundary must be bit-exact vs the legacy oracle."""
         shape = (13, 5)
@@ -98,7 +109,7 @@ class TestFusedEquivalence:
                 err_msg=f"batch={n}, tile={tile}",
             )
 
-    def test_single_sample_tile(self):
+    def test_single_sample_tile(self, numpy_loop):
         """The degenerate one-sample tile (tiny budget) still agrees."""
         shape = (6, 10)
         artifacts = _exported(shape, seed=3)

@@ -290,6 +290,18 @@ class TestCompareRecords:
         (failure,) = report.failures()
         assert failure.name == "samples_per_s_fast"
 
+    def test_per_sample_counts_are_not_gated_as_rates(self):
+        """``bytes_per_sample`` shares the ``per_s`` prefix but falls when
+        the engine improves; only ``per_s`` as a token is a rate."""
+        report = compare_records(
+            *self._pair(
+                {"samples_per_s": 1000.0, "traffic_bytes_per_sample_fused": 792.0},
+                {"samples_per_s": 1000.0, "traffic_bytes_per_sample_fused": 660612.0},
+            )
+        )
+        assert not report.regressed
+        assert [c.name for c in report.checks] == ["samples_per_s"]
+
     def test_render_mentions_verdict(self):
         report = compare_records(*self._pair({"accuracy": 0.5}, {"accuracy": 0.9}))
         text = report.render()
