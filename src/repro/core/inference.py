@@ -30,7 +30,7 @@ The engine has two modes:
     through a packed DVP gather, a sliding-window conv operand view, the
     active kernel set's ``match_builder`` (per-tap 256-entry
     XOR-popcount byte LUTs on the fast set), encode and similarity
-    before the next tile starts (``conv_tile_mb`` bounds one tile's
+    before the next tile starts (``_NUMPY_TILE_MB`` bounds one tile's
     working set).
 
   The choice is made **per call**: the compiled datapath runs only when
@@ -70,8 +70,6 @@ the domain scan would otherwise dominate small-batch latency.
 
 from __future__ import annotations
 
-import math
-import os
 from time import perf_counter
 
 import numpy as np
@@ -85,41 +83,15 @@ from .export import UniVSAArtifacts, record_soft_vote_margins
 
 __all__ = ["BitPackedUniVSA"]
 
-#: Default budget for one fused batch tile: the whole point of fusion is
-#: cache-resident intermediates, so it sits at L2-cache scale.
-_DEFAULT_TILE_MB = 2.0
+#: Budget for one NumPy fused batch tile: the whole point of fusion is
+#: cache-resident intermediates, so it sits at L2-cache scale.  The
+#: compiled datapath has no tile (one sample per scheduling unit).
+_NUMPY_TILE_MB = 2.0
 
 _ENGINE_MODES = ("fused", "legacy")
 
 #: The compiled kernel's stage split, in its ``stage_ns`` slot order.
 _CC_STAGES = ("packed.dvp", "packed.biconv", "packed.encode", "packed.similarity")
-
-
-def _resolve_conv_tile_mb(value) -> float:
-    """Validate the conv tile budget, loudly.
-
-    A zero, negative, non-finite, or non-numeric budget used to be
-    silently clamped into a degenerate tile size; now it is a
-    configuration error naming its source (argument or
-    ``REPRO_CONV_TILE_MB``).
-    """
-    if value is None:
-        raw = os.environ.get("REPRO_CONV_TILE_MB")
-        if raw is None or not raw.strip():
-            return _DEFAULT_TILE_MB
-        source = f"REPRO_CONV_TILE_MB={raw.strip()!r}"
-        value = raw
-    else:
-        source = f"conv_tile_mb={value!r}"
-    try:
-        budget = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} is not a number; expected a positive tile budget in MB"
-        ) from None
-    if not math.isfinite(budget) or budget <= 0.0:
-        raise ValueError(f"{source} must be a positive, finite number of MB")
-    return budget
 
 
 def _pack_bytes(vectors: np.ndarray) -> np.ndarray:
@@ -157,23 +129,19 @@ class BitPackedUniVSA:
     """Packed-word inference over exported UniVSA artifacts.
 
     ``mode`` selects the stage pipeline (``"fused"``, the default, or the
-    ``"legacy"`` oracle); ``conv_tile_mb`` bounds one fused tile's
-    intermediates (env ``REPRO_CONV_TILE_MB``; must be a positive finite
-    number — anything else raises at construction).
+    ``"legacy"`` oracle).
     """
 
     def __init__(
         self,
         artifacts: UniVSAArtifacts,
         mode: str = "fused",
-        conv_tile_mb: float | None = None,
     ) -> None:
         if mode not in _ENGINE_MODES:
             raise ValueError(
                 f"unknown engine mode {mode!r}; expected one of {_ENGINE_MODES}"
             )
         self.mode = mode
-        self.conv_tile_mb = _resolve_conv_tile_mb(conv_tile_mb)
         self.artifacts = artifacts
         self.input_shape = artifacts.input_shape
         self.positions = artifacts.positions
@@ -324,7 +292,7 @@ class BitPackedUniVSA:
             # operand bytes + uint16 XOR counts + the match gather's uint8
             # plane + the fires plane, per (position, out-channel).
             per_sample = p * (o * 4 + k * k * nb + 16)
-        budget = self.conv_tile_mb * (1 << 20)
+        budget = _NUMPY_TILE_MB * (1 << 20)
         return max(1, int(budget // max(per_sample, 1)))
 
     def _run_fused(self, levels: np.ndarray, similarity: bool) -> np.ndarray:
@@ -558,8 +526,8 @@ class BitPackedUniVSA:
 
         ``arrays`` is exactly :meth:`resident_operands` — every ndarray
         inference reads at serve time, artifact and derived alike.
-        ``meta`` carries the non-array remainder (mode, tile budget,
-        config, packed-bit dimensions).  Together they are sufficient for
+        ``meta`` carries the non-array remainder (mode, config,
+        packed-bit dimensions).  Together they are sufficient for
         :meth:`from_operand_state` to rebuild a bit-identical engine with
         **zero** recomputation, which is what lets a worker attach an
         :class:`repro.runtime.shm.OperandPlane` instead of unpickling and
@@ -567,7 +535,6 @@ class BitPackedUniVSA:
         """
         meta = {
             "mode": self.mode,
-            "conv_tile_mb": self.conv_tile_mb,
             "input_shape": tuple(self.input_shape),
             "config": self.artifacts.config,
             "artifacts_metadata": dict(self.artifacts.metadata),
@@ -613,7 +580,6 @@ class BitPackedUniVSA:
         )
         self = cls.__new__(cls)
         self.mode = meta["mode"]
-        self.conv_tile_mb = float(meta["conv_tile_mb"])
         self.artifacts = artifacts
         self.input_shape = artifacts.input_shape
         self.positions = artifacts.positions
@@ -635,7 +601,7 @@ class BitPackedUniVSA:
                 self._cc = None
         return self
 
-    def sibling(self, mode: str, conv_tile_mb: float | None = None) -> "BitPackedUniVSA":
+    def sibling(self, mode: str) -> "BitPackedUniVSA":
         """An engine over the *same* artifacts in a different mode.
 
         The resilience layer's degradation ladder uses this to build the
@@ -643,11 +609,7 @@ class BitPackedUniVSA:
         copying artifacts; the fused-vs-legacy parity suite guarantees
         the sibling is bit-exact with this engine.
         """
-        return BitPackedUniVSA(
-            self.artifacts,
-            mode=mode,
-            conv_tile_mb=self.conv_tile_mb if conv_tile_mb is None else conv_tile_mb,
-        )
+        return BitPackedUniVSA(self.artifacts, mode=mode)
 
     def traffic_model(self, batch: int = 256) -> dict:
         """Analytic memory-traffic / op-count model of the backend that runs.

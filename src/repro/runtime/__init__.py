@@ -21,15 +21,6 @@ from .loadgen import (
     poisson_arrivals,
     run_open_loop,
 )
-from .plan import (
-    ExecutionPlan,
-    calibrate,
-    clear_plan_cache,
-    load_plan_cache,
-    plan_key,
-    resolve_plan,
-    store_plan,
-)
 from .resilience import (
     BatchReport,
     BatchResult,
@@ -68,14 +59,6 @@ __all__ = [
     "chaos_context",
     "chaos_kernels",
     "parse_chaos",
-    # execution planner
-    "ExecutionPlan",
-    "calibrate",
-    "clear_plan_cache",
-    "load_plan_cache",
-    "plan_key",
-    "resolve_plan",
-    "store_plan",
     # shared-memory handoff
     "SharedArray",
     "attach_view",

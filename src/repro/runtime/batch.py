@@ -5,9 +5,7 @@
   the co-design search engine (:mod:`repro.search.engine`), so both
   layers get the same pool lifecycle and recovery semantics;
 * :func:`resolve_workers` — the pool width (explicit > ``REPRO_WORKERS``
-  > ``os.cpu_count()``);
-* :func:`_active_plan` — the cached execution plan a runner or server
-  fills its unset knobs from (``REPRO_PLAN``).
+  > ``os.cpu_count()``).
 
 The sharded runner itself — shard spans, the shared-memory request,
 result and operand planes, and the retry ladder — lives in
@@ -34,22 +32,6 @@ def resolve_workers(workers: int | None = None) -> int:
         except ValueError:
             pass
     return max(1, os.cpu_count() or 1)
-
-
-def _active_plan(engine):
-    """The cached execution plan for *engine*, or None.
-
-    Swallows every resolution error: a stale or malformed plan file
-    must degrade to "no plan" rather than break runner construction.
-    """
-    if not (os.environ.get("REPRO_PLAN") or "").strip():
-        return None
-    from repro.runtime.plan import cached_plan_for
-
-    try:
-        return cached_plan_for(engine)
-    except (OSError, ValueError, TypeError, KeyError):
-        return None
 
 
 class WorkerPool:

@@ -520,7 +520,6 @@ class IntegrityScrubber:
         engine = target.engine if self._runner is not None else target
         self._engine = engine
         self._mode = engine.mode
-        self._conv_tile_mb = engine.conv_tile_mb
         self.source = None if source is None else Path(str(source))
         self._pristine = (
             _copy_artifact_arrays(engine.artifacts) if self.source is None else None
@@ -597,9 +596,7 @@ class IntegrityScrubber:
         else:
             artifacts = _copy_artifact_arrays(self._pristine)
             kind = "memory"
-        engine = BitPackedUniVSA(
-            artifacts, mode=self._mode, conv_tile_mb=self._conv_tile_mb
-        )
+        engine = BitPackedUniVSA(artifacts, mode=self._mode)
         if resident_digests(engine) != self.golden:
             raise ArtifactCorruptionError(
                 "repair source does not reproduce the golden operand digests "

@@ -4,8 +4,11 @@ degradation ladder per shard.
 :class:`ResilientBatchRunner` shards a batch of quantized level frames
 across a worker pool, runs :class:`repro.core.BitPackedUniVSA` on each
 shard, and reassembles the scores in input order.  Threads are the
-default — the bit kernels are NumPy ufunc loops that release the GIL, so
-shards genuinely overlap — and process pools give memory isolation.
+default — the compiled datapath and the NumPy bit kernels release the
+GIL, so shards genuinely overlap — and process pools give memory
+isolation.  Shard size, worker count and executor come from the
+constructor arguments (and ``REPRO_WORKERS``); nothing tunes them at
+run time.
 
 A process pool always hands data over through shared memory
 (:mod:`repro.runtime.shm`), in both directions:
@@ -97,8 +100,9 @@ from repro.obs.telemetry import (
     worker_telemetry_installed,
 )
 from repro.vsa.kernels import get_kernels, using_kernels
+from repro.vsa.kernels_cc import env_flag
 
-from .batch import WorkerPool, _active_plan, resolve_workers
+from .batch import WorkerPool, resolve_workers
 from .chaos import (
     ChaosError,
     ChaosSpec,
@@ -161,7 +165,9 @@ class RetryPolicy:
         """Policy from ``REPRO_RETRIES`` / ``REPRO_SHARD_TIMEOUT_S`` /
         ``REPRO_BACKOFF_S`` / ``REPRO_BACKOFF_MAX_S`` / ``REPRO_FALLBACK``
         / ``REPRO_BREAKER`` / ``REPRO_VALIDATE`` / ``REPRO_RETRY_SEED``
-        (unset keys keep the defaults)."""
+        (unset keys keep the defaults).  ``REPRO_FALLBACK`` and
+        ``REPRO_VALIDATE`` read as off for ``0``/``false``/``off``/``no``
+        in any case, like ``REPRO_CC``."""
         env = os.environ if environ is None else environ
 
         def _get(key, cast, default):
@@ -181,9 +187,9 @@ class RetryPolicy:
             timeout_s=_get("REPRO_SHARD_TIMEOUT_S", float, None),
             backoff_base_s=_get("REPRO_BACKOFF_S", float, cls.backoff_base_s),
             backoff_max_s=_get("REPRO_BACKOFF_MAX_S", float, cls.backoff_max_s),
-            fallback=str(env.get("REPRO_FALLBACK", "1")).strip() not in ("0", "false", "no"),
+            fallback=env_flag("REPRO_FALLBACK", env),
             breaker_threshold=max(1, _get("REPRO_BREAKER", int, cls.breaker_threshold)),
-            validate=str(env.get("REPRO_VALIDATE", "1")).strip() not in ("0", "false", "no"),
+            validate=env_flag("REPRO_VALIDATE", env),
             seed=_get("REPRO_RETRY_SEED", int, cls.seed),
         )
 
@@ -507,9 +513,7 @@ class ResilientBatchRunner:
         Samples per shard; ``None`` splits the batch into about
         ``2 x workers`` shards (see :meth:`effective_shard_size`).
     workers:
-        Pool size; ``None`` resolves via :func:`resolve_workers`.  With
-        both ``shard_size`` and ``workers`` unset, a cached execution
-        plan (``REPRO_PLAN``) for the same executor fills them in.
+        Pool size; ``None`` resolves via :func:`resolve_workers`.
     executor:
         ``"thread"`` (default) or ``"process"``.  Process workers
         attach the shared operand plane in their initializer and
@@ -540,14 +544,6 @@ class ResilientBatchRunner:
                 f"unknown executor {executor!r}; expected 'thread' or 'process'"
             )
         self.engine = engine
-        # A calibrated plan (REPRO_PLAN) fills in only the knobs the
-        # caller left unset — explicit arguments always win, so a plan
-        # can never silently override a deliberate configuration.
-        if shard_size is None and workers is None:
-            plan = _active_plan(engine)
-            if plan is not None and plan.executor == executor:
-                workers = plan.workers
-                shard_size = plan.shard_size
         self.workers = resolve_workers(workers)
         self.shard_size = shard_size
         self.executor_kind = executor

@@ -74,6 +74,7 @@ __all__ = [
     "build_fused",
     "cc_enabled",
     "cc_info",
+    "env_flag",
     "reset_cc",
 ]
 
@@ -221,9 +222,16 @@ _reasons: dict[tuple[int, int], str] = {}
 _global_reason: str | None = None
 
 
+def env_flag(key: str, environ=None) -> bool:
+    """A default-on boolean env var: off for ``0``/``false``/``off``/``no``
+    in any case, on for anything else (unset included)."""
+    env = os.environ if environ is None else environ
+    return str(env.get(key, "1")).strip().lower() not in _OFF_VALUES
+
+
 def cc_enabled() -> bool:
     """Whether the compiled backend is allowed by the environment."""
-    return os.environ.get(_ENV_FLAG, "1").strip().lower() not in _OFF_VALUES
+    return env_flag(_ENV_FLAG)
 
 
 def reset_cc() -> None:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BitPackedUniVSA, UniVSAConfig, UniVSAModel, extract_artifacts
+from repro.core import inference
 from repro.core.export import _int_conv2d_same
 from repro.nn import Tensor
 from repro.vsa.kernels import using_kernels
@@ -82,16 +83,17 @@ class TestEngineEquivalence:
             _assert_rows_match_oracle(engine, levels)
 
     def test_tiny_tile_forces_chunked_conv(self, monkeypatch):
-        """conv_tile_mb small enough that a 9-sample batch needs nine
+        """A NumPy tile budget small enough that a 9-sample batch needs nine
         one-sample tiles of the NumPy loop (compiled datapath off); score
         rows must equal the oracle's, and ``encode()``, which runs the
         same tile loop, the legacy encoding."""
         monkeypatch.setenv("REPRO_CC", "0")
+        monkeypatch.setattr(inference, "_NUMPY_TILE_MB", 1e-6)
         reset_cc()
         shape = (13, 5)
         artifacts = _exported(shape, seed=2)
         levels = _levels_batch(shape, n=9, seed=2)
-        tiled = BitPackedUniVSA(artifacts, conv_tile_mb=1e-6)
+        tiled = BitPackedUniVSA(artifacts)
         assert tiled.conv_backend == "numpy"
         assert tiled._fused_tile() == 1
         _assert_rows_match_oracle(tiled, levels)

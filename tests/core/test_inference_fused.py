@@ -7,8 +7,9 @@ equal to, one past, and double the tile size must all produce the legacy
 oracle's int64 score rows (and the integer artifact reference's) bit for
 bit.  The same suite covers BN-folded thresholds with channel flips,
 kernel-less ablation (where fusion degenerates to the DVP-only
-pipeline), fused as the default mode, and the loud ``conv_tile_mb`` /
-``REPRO_CONV_TILE_MB`` validation.
+pipeline) and fused as the default mode.  Tile seams exist only on the
+NumPy loop; tests force small tiles by patching its module-level budget
+``_NUMPY_TILE_MB``.
 """
 
 from dataclasses import replace
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import BitPackedUniVSA, UniVSAConfig, UniVSAModel, extract_artifacts
-from repro.core.inference import _resolve_conv_tile_mb
+from repro.core import inference
 from repro.nn import Tensor
 from repro.obs import MetricsRegistry, using_registry
 from repro.vsa.kernels import using_kernels
@@ -89,7 +90,7 @@ class TestFusedEquivalence:
                     engine.scores(levels), expected, err_msg=f"kernels={kernels}"
                 )
 
-    def test_tile_boundary_sweep(self, numpy_loop):
+    def test_tile_boundary_sweep(self, numpy_loop, monkeypatch):
         """Batch sizes 1, tile-1, tile, tile+1, 2*tile around a forced
         small tile — every boundary must be bit-exact vs the legacy oracle."""
         shape = (13, 5)
@@ -97,7 +98,8 @@ class TestFusedEquivalence:
         legacy = BitPackedUniVSA(artifacts, mode="legacy")
         # A budget small enough to force several-but-not-single-sample
         # tiles for this config (clamped to >= 1 sample regardless).
-        fused = BitPackedUniVSA(artifacts, mode="fused", conv_tile_mb=0.02)
+        monkeypatch.setattr(inference, "_NUMPY_TILE_MB", 0.02)
+        fused = BitPackedUniVSA(artifacts, mode="fused")
         tile = fused._fused_tile()
         assert tile >= 1
         batches = sorted({1, max(1, tile - 1), tile, tile + 1, 2 * tile})
@@ -109,11 +111,12 @@ class TestFusedEquivalence:
                 err_msg=f"batch={n}, tile={tile}",
             )
 
-    def test_single_sample_tile(self, numpy_loop):
+    def test_single_sample_tile(self, numpy_loop, monkeypatch):
         """The degenerate one-sample tile (tiny budget) still agrees."""
         shape = (6, 10)
         artifacts = _exported(shape, seed=3)
-        fused = BitPackedUniVSA(artifacts, mode="fused", conv_tile_mb=1e-6)
+        monkeypatch.setattr(inference, "_NUMPY_TILE_MB", 1e-6)
+        fused = BitPackedUniVSA(artifacts, mode="fused")
         assert fused._fused_tile() == 1
         levels = _levels_batch(shape, n=5, seed=3)
         np.testing.assert_array_equal(fused.scores(levels), _oracle(artifacts, levels))
@@ -171,10 +174,11 @@ class TestFusedEquivalence:
             fused.scores(levels), legacy.scores(levels)
         )
 
-    def test_fused_counters(self):
+    def test_fused_counters(self, monkeypatch):
         shape = (13, 5)
         artifacts = _exported(shape, seed=9)
-        fused = BitPackedUniVSA(artifacts, mode="fused", conv_tile_mb=0.02)
+        monkeypatch.setattr(inference, "_NUMPY_TILE_MB", 0.02)
+        fused = BitPackedUniVSA(artifacts, mode="fused")
         levels = _levels_batch(shape, n=7, seed=9)
         registry = MetricsRegistry()
         with using_registry(registry):
@@ -182,46 +186,6 @@ class TestFusedEquivalence:
         assert registry.counter("packed.samples").value == 7
         assert registry.counter("packed.fused.tiles").value >= 1
         assert registry.gauge("packed.fused.tile_size").value == fused._fused_tile()
-
-
-class TestConvTileValidation:
-    """Satellite: a bad tile budget is a loud config error, not a clamp."""
-
-    @pytest.mark.parametrize("bad", [0, -1, -0.5, float("nan"), float("inf")])
-    def test_rejects_non_positive_or_non_finite(self, bad):
-        with pytest.raises(ValueError, match="positive, finite"):
-            _resolve_conv_tile_mb(bad)
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(ValueError, match="conv_tile_mb='plenty'"):
-            _resolve_conv_tile_mb("plenty")
-
-    def test_env_source_named_in_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_TILE_MB", "lots")
-        with pytest.raises(ValueError, match="REPRO_CONV_TILE_MB"):
-            _resolve_conv_tile_mb(None)
-        monkeypatch.setenv("REPRO_CONV_TILE_MB", "-3")
-        with pytest.raises(ValueError, match="REPRO_CONV_TILE_MB"):
-            _resolve_conv_tile_mb(None)
-
-    def test_engine_constructor_propagates(self):
-        artifacts = _exported((6, 10), seed=10)
-        with pytest.raises(ValueError, match="positive, finite"):
-            BitPackedUniVSA(artifacts, mode="legacy", conv_tile_mb=0)
-        with pytest.raises(ValueError, match="not a number"):
-            BitPackedUniVSA(artifacts, mode="fused", conv_tile_mb="big")
-
-    def test_env_default_and_override(self, monkeypatch):
-        artifacts = _exported((6, 10), seed=10)
-        monkeypatch.delenv("REPRO_CONV_TILE_MB", raising=False)
-        for mode in ("fused", "legacy"):
-            assert BitPackedUniVSA(artifacts, mode=mode).conv_tile_mb == 2.0
-        monkeypatch.setenv("REPRO_CONV_TILE_MB", "0.5")
-        assert BitPackedUniVSA(artifacts, mode="fused").conv_tile_mb == 0.5
-
-    def test_blank_env_keeps_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_TILE_MB", "  ")
-        assert _resolve_conv_tile_mb(None) == 2.0
 
 
 class TestTrafficModel:

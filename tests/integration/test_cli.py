@@ -318,6 +318,46 @@ class TestChaosCommand:
         assert record.metrics["batch"] == 32.0
         assert "resilience.errors" in record.metrics  # registry harvest
 
+    def test_score_row_corruption_that_keeps_argmax_is_counted(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``seed_mismatches`` compares int64 score rows, not labels: a
+        served row bumped on its own argmax class keeps its label and is
+        still counted."""
+        import dataclasses
+
+        from repro.obs import Ledger
+        from repro.runtime import ResilientBatchRunner
+
+        real_run = ResilientBatchRunner.run
+
+        def corrupting_run(self, levels):
+            result = real_run(self, levels)
+            scores = result.scores.copy()
+            scores[0, scores[0].argmax()] += 1
+            assert scores.argmax(axis=1)[0] == result.predictions[0]
+            return dataclasses.replace(result, scores=scores)
+
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        monkeypatch.setattr(ResilientBatchRunner, "run", corrupting_run)
+        ledger = tmp_path / "ledger.jsonl"
+        code = main(
+            [
+                "chaos",
+                "bci-iii-v",
+                "--batch", "16",
+                "--workers", "1",
+                "--n-train", "24",
+                "--n-test", "12",
+                "--epochs", "1",
+                "--ledger", str(ledger),
+            ]
+        )
+        assert code == 0
+        assert "seed mismatches 1" in capsys.readouterr().out
+        record = Ledger(ledger).latest(task="chaos")
+        assert record.metrics["seed_mismatches"] == 1.0
+
 
 class TestFaultSweepCommand:
     def test_smoke_writes_sidecar_and_ledger(self, capsys, tmp_path, monkeypatch):

@@ -289,3 +289,33 @@ class TestOnePathInvariants:
         assert scores.dtype == np.int64
         np.testing.assert_array_equal(scores, expected_b)
         assert leaked_segments() == []
+
+
+class TestNoPlannerInvariants:
+    """The datapath's schedule is fixed at design time: no planner
+    subcommand, no tile argument, no tile key in shipped engine state."""
+
+    def test_cli_has_no_plan_subcommand(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["plan", "run", "bci-iii-v"])
+
+    def test_engine_takes_no_tile_argument(self, engine):
+        with pytest.raises(TypeError):
+            BitPackedUniVSA(engine.artifacts, "fused", 2.0)
+        with pytest.raises(TypeError):
+            engine.sibling("legacy", 2.0)
+
+    def test_process_runner_state_has_no_tile_key(self, engine):
+        levels = _levels_batch(16, seed=13)
+        oracle = engine.sibling("legacy").scores(levels)
+        with ResilientBatchRunner(
+            engine, shard_size=4, workers=2, executor="process"
+        ) as runner:
+            _, meta = runner.engine.operand_state()
+            scores = runner.scores(levels)
+        assert not [key for key in meta if "tile" in key]
+        assert scores.dtype == np.int64
+        np.testing.assert_array_equal(scores, oracle)
+        assert leaked_segments() == []

@@ -62,6 +62,17 @@ class TestRetryPolicy:
         policy = RetryPolicy.from_env({})
         assert policy == RetryPolicy()
 
+    @pytest.mark.parametrize(
+        "off", ["0", "false", "off", "no", "OFF", "False", "No", " off "]
+    )
+    def test_from_env_off_spellings(self, off):
+        # Regression: only exact "0"/"false"/"no" read as off, so "off",
+        # "OFF" or "False" left fallback and validation silently on.
+        # The spellings match REPRO_CC's, in any case.
+        policy = RetryPolicy.from_env({"REPRO_FALLBACK": off, "REPRO_VALIDATE": off})
+        assert policy.fallback is False
+        assert policy.validate is False
+
     def test_from_env_reads_backoff_max_and_seed(self):
         # Regression: these keys were documented but never read, so env
         # tuning silently kept the defaults.

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import BitPackedUniVSA, UniVSAConfig, UniVSAModel, extract_artifacts
+from repro.core import inference
 from repro.obs import MetricsRegistry, Tracer, using_registry, using_tracer
 from repro.runtime import ChaosSpec, ResilientBatchRunner, chaos_kernels
 from repro.runtime.throughput import score_divergence
@@ -58,8 +59,8 @@ def _levels(shape, n, seed=0):
     return np.random.default_rng(seed).integers(0, LEVELS, size=(n,) + shape)
 
 
-def _cc_engine(artifacts, **kwargs):
-    engine = BitPackedUniVSA(artifacts, mode="fused", **kwargs)
+def _cc_engine(artifacts):
+    engine = BitPackedUniVSA(artifacts, mode="fused")
     if engine.conv_backend != "cc":
         pytest.skip(
             f"compiled datapath not dispatched under kernel set "
@@ -68,12 +69,12 @@ def _cc_engine(artifacts, **kwargs):
     return engine
 
 
-def _numpy_engine(artifacts, monkeypatch, **kwargs):
+def _numpy_engine(artifacts, monkeypatch):
     """A fused engine built with the compiled backend switched off."""
     with monkeypatch.context() as patch:
         patch.setenv("REPRO_CC", "0")
         reset_cc()
-        engine = BitPackedUniVSA(artifacts, mode="fused", **kwargs)
+        engine = BitPackedUniVSA(artifacts, mode="fused")
     reset_cc()
     assert engine.conv_backend == "numpy"
     return engine
@@ -131,11 +132,13 @@ class TestBitExactness:
                 levels = np.full((3,) + case[-1], level)
                 np.testing.assert_array_equal(cc.scores(levels), legacy.scores(levels))
 
-    def test_tile_budget_does_not_change_cc_scores(self, paper):
+    def test_tile_budget_does_not_change_cc_scores(self, paper, monkeypatch):
+        """The NumPy tile budget never reaches the compiled datapath."""
         levels = _levels(paper.input_shape, 21, seed=5)
         expected = _cc_engine(paper).scores(levels)
         for tile_mb in (1e-6, 0.5, 8.0):
-            engine = _cc_engine(paper, conv_tile_mb=tile_mb)
+            monkeypatch.setattr(inference, "_NUMPY_TILE_MB", tile_mb)
+            engine = _cc_engine(paper)
             np.testing.assert_array_equal(engine.scores(levels), expected)
 
     def test_narrow_integer_dtypes(self, paper):
@@ -334,11 +337,12 @@ class TestGating:
         legacy = BitPackedUniVSA(paper, mode="legacy")
         np.testing.assert_array_equal(engine.scores(levels), legacy.scores(levels))
 
-    def test_legacy_kernel_set_never_uses_cc(self, paper):
+    def test_legacy_kernel_set_never_uses_cc(self, paper, monkeypatch):
         """Built under ``fast``, run under ``legacy`` or a chaos-wrapped
         set: the call takes the NumPy loop (its tile gauge, not the cc
         one-sample unit) and still matches the oracle."""
-        engine = _cc_engine(paper, conv_tile_mb=8.0)
+        monkeypatch.setattr(inference, "_NUMPY_TILE_MB", 8.0)
+        engine = _cc_engine(paper)
         levels = _levels(paper.input_shape, 5, seed=4)
         oracle = BitPackedUniVSA(paper, mode="legacy").scores(levels)
         assert _tile_size(engine, levels) == 1
