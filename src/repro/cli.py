@@ -388,7 +388,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the micro-batching TCP serving daemon until interrupted."""
     import asyncio
 
-    from repro.core.inference import BitPackedUniVSA
+    from repro.core.inference import BitPackedUniVSA, warn_off_compiled
     from repro.obs import MetricsRegistry, using_registry
     from repro.obs.slo import SLO
     from repro.runtime import (
@@ -421,6 +421,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         artifacts = run.artifacts
         name = args.benchmark
     engine = BitPackedUniVSA(artifacts)
+    warn_off_compiled(engine)
     policy = ServePolicy(
         max_batch=args.max_batch,
         deadline_ms=args.deadline_ms,
@@ -689,7 +690,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         ResilientBatchRunner,
         RetryPolicy,
     )
-    from repro.core.inference import BitPackedUniVSA
+    from repro.core.inference import BitPackedUniVSA, warn_off_compiled
     from repro.runtime.throughput import score_divergence
 
     chaos = (
@@ -728,6 +729,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
         policy = dataclasses.replace(policy, max_retries=max(0, args.retries))
     engine = BitPackedUniVSA(run.artifacts)
+    warn_off_compiled(engine)
     breaker_open = False
     with using_registry(MetricsRegistry()) as registry:
         with ResilientBatchRunner(
@@ -908,7 +910,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Trace end-to-end classifications and render the span trees."""
     import numpy as np
 
-    from repro.core.inference import BitPackedUniVSA
+    from repro.core.inference import BitPackedUniVSA, warn_off_compiled
     from repro.hw.arch import HardwareSpec
     from repro.hw.simulator import HardwareSimulator
     from repro.obs import (
@@ -936,6 +938,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     engine = BitPackedUniVSA(run.artifacts)
+    warn_off_compiled(engine)
     n = max(1, min(args.samples, len(run.data.x_test)))
     tracer = Tracer(sample_rate=args.sample_rate)
     with using_tracer(tracer), using_registry(MetricsRegistry()):

@@ -13,37 +13,29 @@ popcount adder trees do.
 
 The engine has two modes:
 
-* ``mode="fused"`` (default) runs the whole pipeline — DVP gather,
-  BiConv match, fires packing, encode, similarity — without stage-sized
-  intermediates.  The per-level ValueBox rows are packed **once** at
-  construction (channel-major, byte granular) and the threshold compare
-  collapses to a single integer comparison in XOR-count space (see
-  ``_init_fused``).  Two implementations share those operands:
-
-  - the **compiled datapath** (:mod:`repro.vsa.kernels_cc`), one C call
-    per batch that takes raw levels and writes score (or ``s``) rows in
-    place, running every stage per sample.  It is compiled (or its
-    cached build attached) at construction — in ``__init__`` and in
-    :meth:`~BitPackedUniVSA.from_operand_state` — so no timed call pays
-    for gcc;
-  - the **NumPy tile loop**, the one fallback: a batch tile flows
-    through a packed DVP gather, a sliding-window conv operand view, the
-    active kernel set's ``match_builder`` (per-tap 256-entry
-    XOR-popcount byte LUTs on the fast set), encode and similarity
-    before the next tile starts (``_NUMPY_TILE_MB`` bounds one tile's
-    working set).
+* ``mode="fused"`` (default) runs the **compiled datapath**
+  (:mod:`repro.vsa.kernels_cc`): one C call per batch takes raw levels
+  and runs DVP gather, BiConv byte-LUT match, fires packing, encode and
+  similarity per sample, writing score (or ``s``) rows in place.  Its
+  operands — per-level ValueBox rows packed channel-major, pre-inverted
+  feature/class words, kernel taps and the threshold folded into one
+  XOR-count compare (see ``_init_fused``) — are built once, and the
+  kernel compiled (or its cached build attached), at construction — in
+  ``__init__`` and in :meth:`~BitPackedUniVSA.from_operand_state` — so
+  no timed call pays for gcc.
 
   The choice is made **per call**: the compiled datapath runs only when
   it was built (a compiler is present and ``REPRO_CC`` allows it), the
   artifacts have a conv kernel, the active kernel set is the stock
   ``fast`` set — never ``legacy`` or a wrapped (``+chaos``) set, whose
   interposed primitives the C code would bypass — and every level is an
-  integer in ``[0, n_levels)``.  Anything else runs the NumPy loop, which
-  keeps NumPy's indexing semantics (``IndexError``, negative indices).
-  ``encode()`` and ``scores()`` share this dispatch.
+  integer in ``[0, n_levels)``.  Anything else runs the legacy oracle
+  stages the engine also carries, which keep NumPy's indexing semantics
+  (``IndexError``, negative indices).  ``conv_backend`` names the route
+  (``"cc"`` or ``"legacy"``).
 * ``mode="legacy"`` preserves the seed engine's per-call block packing;
-  it is the oracle the fused engine is checked against, bit for bit, by
-  the property suite and ``python -m repro bench-throughput``.
+  it is the oracle the compiled datapath is checked against, bit for
+  bit, by the property suite and ``python -m repro bench-throughput``.
 
 ``traffic_model()`` exposes the analytic bytes-moved / popcount-ops per
 sample of the backend that runs — the roofline numbers the throughput
@@ -56,20 +48,21 @@ engine doubles as the golden model for the cycle simulator in
 
 Every stage is timed into ``packed.dvp``, ``packed.biconv`` (conv plus
 fires packing), ``packed.encode`` and ``packed.similarity`` histograms,
-plus a ``packed.samples`` counter: the NumPy loop through
-:func:`repro.obs.stage_timer` per tile, the compiled datapath through
-per-stage nanosecond totals the kernel accumulates and the engine
-observes once per call.  With the default null registry and no tracer
-the instrumentation is a no-op branch and the kernel reads no clock.
+plus a ``packed.samples`` counter: the oracle stages through
+:func:`repro.obs.stage_timer`, the compiled datapath through per-stage
+nanosecond totals the kernel accumulates and the engine observes once
+per call.  With the default null registry and no tracer the
+instrumentation is a no-op branch and the kernel reads no clock.
 ``scores()`` opens a ``packed.classify`` trace root, so with a tracer
 active one call becomes a full span tree and the soft-vote margins land
-in the ``quality.soft_vote_margin`` histogram.  The internal stages pack
+in the ``quality.soft_vote_margin`` histogram.  The oracle stages pack
 with ``validate=False`` — their inputs are bipolar by construction, and
 the domain scan would otherwise dominate small-batch latency.
 """
 
 from __future__ import annotations
 
+import sys
 from time import perf_counter
 
 import numpy as np
@@ -77,16 +70,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.obs import annotate_span, get_registry, get_tracer, stage_timer, trace_span
 from repro.vsa.bitops import pack_bipolar, xnor_popcount
-from repro.vsa.kernels import FAST_KERNELS, WORD_BITS, get_kernels
+from repro.vsa.kernels import FAST_KERNELS, get_kernels
 
 from .export import UniVSAArtifacts, record_soft_vote_margins
 
-__all__ = ["BitPackedUniVSA"]
-
-#: Budget for one NumPy fused batch tile: the whole point of fusion is
-#: cache-resident intermediates, so it sits at L2-cache scale.  The
-#: compiled datapath has no tile (one sample per scheduling unit).
-_NUMPY_TILE_MB = 2.0
+__all__ = ["BitPackedUniVSA", "warn_off_compiled"]
 
 _ENGINE_MODES = ("fused", "legacy")
 
@@ -97,32 +85,6 @@ _CC_STAGES = ("packed.dvp", "packed.biconv", "packed.encode", "packed.similarity
 def _pack_bytes(vectors: np.ndarray) -> np.ndarray:
     """Bipolar/boolean (..., D) -> bytes (..., ceil(D/8)), little bit order."""
     return np.packbits(np.asarray(vectors) > 0, axis=-1, bitorder="little")
-
-
-def _bytes_to_words(data: np.ndarray) -> np.ndarray:
-    """Bytes (..., n) -> uint64 words (..., ceil(n/8)), little-endian."""
-    n_bytes = data.shape[-1]
-    n_words = -(-n_bytes // 8)
-    if n_bytes != n_words * 8:
-        padded = np.zeros(data.shape[:-1] + (n_words * 8,), dtype=np.uint8)
-        padded[..., :n_bytes] = data
-        data = padded
-    words = np.ascontiguousarray(data).view(np.dtype("<u8"))
-    return words.astype(np.uint64, copy=False)
-
-
-def _matches_against_inverted(words: np.ndarray, inverted: np.ndarray, dim: int) -> np.ndarray:
-    """XNOR match count against a pre-inverted operand.
-
-    ``popcount(~(a ^ b)) == popcount(a ^ ~b)``; pre-inverting the static
-    side (feature / class words) once at construction saves an invert
-    pass over the large broadcast intermediate on every call.  Padding
-    bits (0 in ``words``, 1 in ``inverted``) XOR to 1 and are
-    subtracted, exactly as in :func:`repro.vsa.bitops.xnor_popcount`.
-    """
-    counts = get_kernels().popcount8(words ^ inverted)
-    pad_bits = inverted.shape[-1] * WORD_BITS - dim
-    return counts.sum(axis=-1, dtype=np.int64) - pad_bits
 
 
 class BitPackedUniVSA:
@@ -166,26 +128,24 @@ class BitPackedUniVSA:
         self._class_packed, self._sim_bits = pack_bipolar(artifacts.class_vectors)
         self._channels = channels
 
-        if mode == "fused":
+        self._cc = None
+        if mode == "fused" and artifacts.kernel is not None:
             self._init_fused()
 
     # ------------------------------------------------------------------
     # fused-mode precomputation
     # ------------------------------------------------------------------
     def _init_fused(self) -> None:
-        """Packed ValueBox rows, pre-inverted operands and the conv matcher.
+        """The compiled datapath's operands, then the kernel itself.
 
-        The conv matcher comes from the active kernel set's
-        ``match_builder`` over the kernel tap bytes in operand order,
-        returning XOR bit counts ``x`` instead of raw matches.  With
-        ``n`` true bits the accumulation is ``n - 2x``, so the threshold
-        compare becomes a *single* integer comparison:
-        ``acc >= t  <=>  x <= floor((n-t)/2)`` and (flipped channels)
-        ``acc <= t  <=>  x >= ceil((n-t)/2)``.  Folding the flip into
-        ``bound = xor_lo - 1`` and XOR-ing the comparison result with the
-        flip mask avoids materializing two boolean planes per tile.  Byte
-        padding bits are zero on both the operand and the tap side, so
-        they add no XOR counts.
+        Packed ValueBox rows, pre-inverted feature/class words and the
+        kernel taps in operand order, with the conv threshold folded into
+        XOR-count space: with ``n`` true bits and ``x`` XOR bits the
+        accumulation is ``n - 2x``, so ``acc >= t  <=>  x <= floor((n-t)/2)``
+        and (flipped channels) ``acc <= t  <=>  x >= ceil((n-t)/2)``.
+        Folding the flip into ``bound = xor_lo - 1`` leaves one compare,
+        ``fires = (x <= bound) ^ flip``.  Byte padding bits are zero on
+        both the operand and the tap side, so they add no XOR counts.
         """
         artifacts = self.artifacts
         # Per-level ValueBox rows packed channel-major at byte granularity
@@ -201,19 +161,14 @@ class BitPackedUniVSA:
         else:
             self._value_bytes_low = None
 
-        # Pre-inverted static operands (see _matches_against_inverted).
+        # Pre-inverted static operands: popcount(~(a ^ b)) == popcount(a ^ ~b).
         self._feature_inv = ~self._feature_packed
         self._class_inv = ~self._class_packed
 
-        if artifacts.kernel is None:
-            self._fused_matcher = None
-            self._cc = None
-            return
         # Kernel bytes in conv *operand order*: for each tap (kh, kw) the
-        # channel bits padded to whole bytes, concatenated — exactly the
-        # layout the window byte-assembly produces.  The match count over
-        # all C*K*K true bits is order-independent, so the accumulation
-        # is bit-exact vs the legacy block order.
+        # channel bits padded to whole bytes, concatenated.  The match
+        # count over all C*K*K true bits is order-independent, so the
+        # accumulation is bit-exact vs the legacy block order.
         kernel = artifacts.kernel  # (O, C, k, k)
         o, c, k, _ = kernel.shape
         taps = _pack_bytes(kernel.transpose(0, 2, 3, 1))  # (O, k, k, nb)
@@ -225,7 +180,6 @@ class BitPackedUniVSA:
         flips = np.asarray(self._flips).astype(bool)
         self._fused_bound = np.where(flips, xor_lo - 1, xor_hi)
         self._fused_flip = flips
-        self._fused_matcher = get_kernels().match_builder(self._kernel_tap_bytes)
         self._init_cc()
 
     def _init_cc(self) -> None:
@@ -257,76 +211,41 @@ class BitPackedUniVSA:
         ``fast`` set, else ``None``.
 
         The ``legacy`` set is the reference configuration and a wrapped
-        set (chaos ``+chaos``) interposes on ``popcount8``, which the C
-        code never calls — both must run the NumPy tile loop.
+        set (chaos ``+chaos``) interposes on ``pack``/``popcount8``, which
+        the C code never calls — both must run the oracle stages.
         """
-        cc = getattr(self, "_cc", None)
-        if cc is not None and get_kernels() is FAST_KERNELS:
-            return cc
+        if self._cc is not None and get_kernels() is FAST_KERNELS:
+            return self._cc
         return None
 
     @property
     def conv_backend(self) -> str:
-        """Which implementation a fused call under the active kernel set
-        dispatches to: ``"cc"`` (the compiled datapath) or ``"numpy"``."""
-        return "cc" if self._cc_for_call() is not None else "numpy"
+        """Which implementation a call under the active kernel set
+        dispatches to: ``"cc"`` (the compiled datapath) or ``"legacy"``
+        (the oracle stages)."""
+        return "cc" if self._cc_for_call() is not None else "legacy"
 
-    def _fused_tile(self) -> int:
-        """Samples per fused scheduling unit under the active kernel set.
-
-        The compiled kernel runs one sample through every stage before
-        the next (its scratch is per sample); the NumPy loop runs
-        :meth:`_numpy_tile` samples per tile.
-        """
-        return 1 if self._cc_for_call() is not None else self._numpy_tile()
-
-    def _numpy_tile(self) -> int:
-        """NumPy batch-tile size keeping one tile's *entire* pipeline in budget."""
-        kernel = self.artifacts.kernel
-        p = self.positions
-        if kernel is None:
-            per_sample = p * 16
-        else:
-            o, _, k, _ = kernel.shape
-            nb = self._kernel_tap_bytes.shape[-1] // (k * k)
-            # operand bytes + uint16 XOR counts + the match gather's uint8
-            # plane + the fires plane, per (position, out-channel).
-            per_sample = p * (o * 4 + k * k * nb + 16)
-        budget = _NUMPY_TILE_MB * (1 << 20)
-        return max(1, int(budget // max(per_sample, 1)))
-
-    def _run_fused(self, levels: np.ndarray, similarity: bool) -> np.ndarray:
-        """The fused datapath shared by ``encode()`` and ``scores()``.
+    def _run(self, levels: np.ndarray, similarity: bool) -> np.ndarray:
+        """The datapath shared by ``encode()`` and ``scores()``.
 
         One C call over the whole batch when :meth:`_cc_for_call` allows
-        it and every level is an in-range integer; otherwise the NumPy
-        tile loop, where each tile runs DVP → BiConv → pack → encode and,
-        for scores, similarity before the next tile starts, so every
-        intermediate is still cache-resident when its consumer reads it.
+        it and every level is an in-range integer; otherwise the oracle
+        stages, which keep NumPy's indexing semantics (``IndexError``,
+        negative indices).
         """
         levels = np.asarray(levels).reshape((-1,) + self.input_shape)
-        b = levels.shape[0]
-        registry = get_registry()
-        registry.counter("packed.samples").add(b)
-        if similarity:
-            out = np.empty((b, self._class_inv.shape[1]), dtype=np.int64)
-        else:
-            out = np.empty((b, self.positions), dtype=np.int8)
         cc = self._cc_for_call()
-        if cc is not None and levels.dtype.kind in "iu" and self._run_cc(cc, levels, out):
-            registry.counter("packed.fused.tiles").add(b)
-            registry.gauge("packed.fused.tile_size").set(1)
-            return out
-        tile = self._numpy_tile()
-        n_tiles = 0
-        for start in range(0, b, tile):
-            stop = min(start + tile, b)
-            n_tiles += 1
-            s = self._encode_tile(levels[start:stop])
-            out[start:stop] = self._similarity_tile(s) if similarity else s
-        registry.counter("packed.fused.tiles").add(n_tiles)
-        registry.gauge("packed.fused.tile_size").set(tile)
-        return out
+        if cc is not None and levels.dtype.kind in "iu":
+            b = levels.shape[0]
+            if similarity:
+                out = np.empty((b, self._class_inv.shape[1]), dtype=np.int64)
+            else:
+                out = np.empty((b, self.positions), dtype=np.int8)
+            if self._run_cc(cc, levels, out):
+                get_registry().counter("packed.samples").add(b)
+                return out
+        s = self._encode_legacy(levels)
+        return self._similarity_stage(s) if similarity else s
 
     def _run_cc(self, cc, levels: np.ndarray, out: np.ndarray) -> bool:
         """One compiled call; ``False`` when a level is out of range.
@@ -355,53 +274,6 @@ class BitPackedUniVSA:
                 tracer.close_span(tracer.open_span(name), start, start + seconds)
             start += seconds
         return True
-
-    def _encode_tile(self, levels: np.ndarray) -> np.ndarray:
-        """One tile through DVP → BiConv → pack → encode: -> s (T, P) int8."""
-        with stage_timer("packed.dvp"):
-            volume_bytes = self._dvp_bytes(levels)
-        n = volume_bytes.shape[0]
-        kernel = self.artifacts.kernel
-        if kernel is not None:
-            with stage_timer("packed.biconv"):
-                k = kernel.shape[2]
-                pad = k // 2
-                # Zero bytes are the all -1 channel vector — the border padding.
-                padded = np.pad(volume_bytes, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-                windows = sliding_window_view(padded, (k, k), axis=(1, 2))
-                operand = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
-                    n, self.positions, -1
-                )
-                counts = self._fused_matcher(operand)  # (T, P, O) XOR bits
-                fires = (counts <= self._fused_bound) ^ self._fused_flip
-            feature_words = _bytes_to_words(_pack_bytes(fires))
-        else:
-            feature_words = _bytes_to_words(volume_bytes.reshape(n, self.positions, -1))
-        with stage_timer("packed.encode"):
-            matches = _matches_against_inverted(
-                feature_words, self._feature_inv[None], self._enc_bits
-            )
-            return np.where(2 * matches - self._enc_bits >= 0, 1, -1).astype(np.int8)
-
-    @stage_timer("packed.similarity")
-    def _similarity_tile(self, s: np.ndarray) -> np.ndarray:
-        """Packed soft voting of one tile: s (T, P) -> scores (T, n_classes)."""
-        packed = _bytes_to_words(_pack_bytes(s))
-        matches = _matches_against_inverted(
-            packed[:, None, None, :], self._class_inv[None], self._sim_bits
-        )  # (T, Theta, C)
-        return (2 * matches - self._sim_bits).sum(axis=1)
-
-    def _dvp_bytes(self, levels: np.ndarray) -> np.ndarray:
-        """Packed DVP gather: levels (T, W, L) -> channel bytes (T, W, L, nb)."""
-        volume = self._value_bytes_high[levels]
-        if self._value_bytes_low is not None:
-            volume = np.where(
-                self._mask_bool[None, :, :, None],
-                volume,
-                self._value_bytes_low[levels],
-            )
-        return volume
 
     # ------------------------------------------------------------------
     # legacy stages (the seed engine, kept as baseline and cross-check)
@@ -469,8 +341,9 @@ class BitPackedUniVSA:
         """Every array inference reads at serve time, by stable name.
 
         Covers both the source artifact arrays and the mode's derived
-        packed operands (value-volume bytes, packed feature/class
-        vectors, thresholds, fused taps/bounds).  This is
+        packed operands (packed kernel/feature/class vectors, thresholds,
+        and in fused mode the compiled datapath's ValueBox bytes,
+        pre-inverted words and taps/bounds).  This is
         the scrub surface of :class:`repro.runtime.integrity
         .IntegrityScrubber`: golden digests are taken over exactly this
         dict at build time and re-checked on every scrub pass, so a bit
@@ -555,12 +428,11 @@ class BitPackedUniVSA:
         The inverse of :meth:`operand_state`: artifact arrays and derived
         packed operands are adopted as-is (typically read-only zero-copy
         views of a shared-memory plane), so construction does no packing,
-        inverting, or threshold folding.  Only the fused matcher closure
-        and the compiled datapath are (re)built — the matcher from the
-        adopted tap bytes, the compiled kernel (cached build attached, tap
-        tables and bound windows derived) reading the adopted ValueBox and
-        feature/class views in place.  Bit-exact with a from-artifacts
-        construction by the property suite.
+        inverting, or threshold folding.  Only the compiled datapath is
+        (re)bound — cached build attached, tap tables and bound windows
+        derived — reading the adopted ValueBox and feature/class views in
+        place.  Bit-exact with a from-artifacts construction by the
+        property suite.
         """
         def _artifact(name: str):
             return arrays.get(f"artifacts.{name}")
@@ -590,15 +462,9 @@ class BitPackedUniVSA:
         for key, array in arrays.items():
             if key.startswith("engine."):
                 setattr(self, "_" + key[len("engine.") :], array)
-        if self.mode == "fused":
-            if artifacts.kernel is not None:
-                self._fused_matcher = get_kernels().match_builder(
-                    self._kernel_tap_bytes
-                )
-                self._init_cc()
-            else:
-                self._fused_matcher = None
-                self._cc = None
+        self._cc = None
+        if self.mode == "fused" and artifacts.kernel is not None:
+            self._init_cc()
         return self
 
     def sibling(self, mode: str) -> "BitPackedUniVSA":
@@ -618,12 +484,12 @@ class BitPackedUniVSA:
         intermediate arrays (reads + writes at ufunc granularity, bytes),
         how many 64-bit popcount ops and byte-LUT lookups it issues, and
         the peak intermediate footprint one scheduling unit holds (one
-        sample's scratch in the compiled kernel, a NumPy fused tile, or
-        the whole ``batch`` in legacy mode).  The footprint is the
-        roofline's x-axis: a pipeline whose tile footprint fits in cache
-        pays DRAM only for its inputs, one that does not pays DRAM for
-        every intermediate pass.  ``backend`` names the fused
-        implementation the model describes (see :attr:`conv_backend`).
+        sample's scratch in the compiled kernel, the whole ``batch`` on
+        the oracle stages).  The footprint is the roofline's x-axis: a
+        pipeline whose footprint fits in cache pays DRAM only for its
+        inputs, one that does not pays DRAM for every intermediate pass.
+        ``backend`` names the implementation the model describes (see
+        :attr:`conv_backend`).
         """
         p = self.positions
         theta, n_classes = self._class_packed.shape[:2]
@@ -634,7 +500,7 @@ class BitPackedUniVSA:
         # then pack + XOR/popcount against the class words (per sample).
         tail_bytes = p * wf * 18 + p * 2 + theta * n_classes * ws * 18
         tail_pops = p * wf + theta * n_classes * ws
-        cc = self._cc_for_call() if self.mode == "fused" else None
+        cc = self._cc_for_call()
         if cc is not None:
             # No intermediate planes: int64 levels in, int64 score rows
             # out; everything else lives in the per-sample scratch.
@@ -655,33 +521,18 @@ class BitPackedUniVSA:
                 "peak_intermediate_mb": batch * p * 18 / (1 << 20),
             }
         else:
+            # Legacy materializes the int8 operand block and packs it per
+            # call, then runs the XNOR/popcount match broadcast over words.
             o, c, k, _ = kernel.shape
-            nb = -(-c // 8)
-            block_bytes = k * k * nb  # packed conv operand bytes per position
-            wc = -(-block_bytes // 8)
-            if self.mode == "fused":
-                # Gather-accumulate: 1 operand byte read + O table-row
-                # gathers + O uint16 accumulator read-modify-writes per
-                # block byte; no XOR word plane exists at all.
-                conv_bytes = 2 * p * block_bytes + p * block_bytes * (1 + 5 * o)
-                conv_pops = 0
-                lut = p * o * block_bytes
-                tile = self._numpy_tile()
-                peak = tile * p * (o * 4 + block_bytes + 16)
-            else:
-                # Legacy materializes the int8 operand block and packs it
-                # per call, then runs the same word-loop match broadcast.
-                conv_bytes = 2 * p * c * k * k + p * wc * 16 + p * o * wc * 24
-                conv_pops = p * o * wc
-                lut = 0
-                tile = int(batch)
-                peak = batch * p * (c * k * k + o * wc * 17)
+            wc = -(-(c * k * k) // 64)
             model = {
-                "bytes_per_sample": float(conv_bytes + tail_bytes),
-                "popcounts_per_sample": float(conv_pops + tail_pops),
-                "lut_lookups_per_sample": float(lut),
-                "tile_samples": int(tile),
-                "peak_intermediate_mb": peak / (1 << 20),
+                "bytes_per_sample": float(
+                    2 * p * c * k * k + p * wc * 16 + p * o * wc * 24 + tail_bytes
+                ),
+                "popcounts_per_sample": float(p * o * wc + tail_pops),
+                "lut_lookups_per_sample": 0.0,
+                "tile_samples": int(batch),
+                "peak_intermediate_mb": batch * p * (c * k * k + o * wc * 17) / (1 << 20),
             }
         model["mode"] = self.mode
         model["backend"] = self.conv_backend
@@ -707,17 +558,12 @@ class BitPackedUniVSA:
 
     def encode(self, levels: np.ndarray) -> np.ndarray:
         """Levels (B, W, L) -> bipolar sample vectors (B, W*L)."""
-        if self.mode == "fused":
-            return self._run_fused(levels, similarity=False)
-        return self._encode_legacy(levels)
+        return self._run(levels, similarity=False)
 
     def scores(self, levels: np.ndarray) -> np.ndarray:
         """Soft-voting class scores (B, n_classes)."""
         with trace_span("packed.classify"):
-            if self.mode == "fused":
-                scores = self._run_fused(levels, similarity=True)
-            else:
-                scores = self._similarity_stage(self.encode(levels))
+            scores = self._run(levels, similarity=True)
             record_soft_vote_margins(scores)
             annotate_span(batch=scores.shape[0])
             return scores
@@ -729,3 +575,23 @@ class BitPackedUniVSA:
     def score(self, levels: np.ndarray, y: np.ndarray) -> float:
         """Mean accuracy."""
         return float((self.predict(levels) == np.asarray(y)).mean())
+
+
+def warn_off_compiled(engine: BitPackedUniVSA, stream=None) -> str | None:
+    """Print one line to ``stream`` (stderr) when ``engine`` runs off the
+    compiled datapath, naming why; returns the line, ``None`` on ``cc``."""
+    if engine.conv_backend == "cc":
+        return None
+    if engine.mode != "fused":
+        reason = f"engine mode {engine.mode!r}"
+    elif engine.artifacts.kernel is None:
+        reason = "the artifacts have no conv kernel"
+    elif engine._cc is not None:
+        reason = f"kernel set {get_kernels().name!r} is active"
+    else:
+        from repro.vsa.kernels_cc import cc_info
+
+        reason = cc_info()["cc_conv_unavailable_reason"] or "not built"
+    line = f"repro: the compiled datapath is off ({reason}); running the legacy oracle stages"
+    print(line, file=sys.stderr if stream is None else stream)
+    return line

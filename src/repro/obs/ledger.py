@@ -32,7 +32,6 @@ from .registry import MetricsRegistry, NullRegistry
 __all__ = [
     "DEFAULT_LEDGER_PATH",
     "MARGIN_HISTOGRAM",
-    "FUSED_NAMESPACE",
     "INTEGRITY_NAMESPACE",
     "RESILIENCE_NAMESPACE",
     "SEARCH_NAMESPACE",
@@ -102,11 +101,9 @@ SERVE_NAMESPACE = "serve."
 #: had to re-share.
 SHM_NAMESPACE = "batch.shm."
 
-#: Counter/gauge namespace the fused single-pass datapath records into
-#: (``packed.fused.{tiles,tile_size}`` and the published analytic
-#: roofline gauges ``packed.traffic.*``).  Harvested so data-movement
-#: regressions are gateable next to throughput.
-FUSED_NAMESPACE = "packed.fused."
+#: Gauge namespace of the published analytic roofline model
+#: (``packed.traffic.*``).  Harvested so data-movement regressions are
+#: gateable next to throughput.
 TRAFFIC_NAMESPACE = "packed.traffic."
 
 #: Gauge namespace :meth:`repro.obs.slo.SLOTracker.publish` mirrors the
@@ -296,8 +293,6 @@ def record_run(
         harvested.update(registry.counter_values(INTEGRITY_NAMESPACE))
         harvested.update(registry.gauge_values(INTEGRITY_NAMESPACE))
         harvested.update(registry.counter_values(SHM_NAMESPACE))
-        harvested.update(registry.counter_values(FUSED_NAMESPACE))
-        harvested.update(registry.gauge_values(FUSED_NAMESPACE))
         harvested.update(registry.gauge_values(TRAFFIC_NAMESPACE))
         for name, value in harvested.items():
             all_metrics.setdefault(name, value)

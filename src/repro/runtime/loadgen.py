@@ -505,7 +505,7 @@ def bench_serve(
     ``REPRO_CHAOS`` turns the bench into an end-to-end chaos test of the
     serve path.
     """
-    from repro.core.inference import BitPackedUniVSA
+    from repro.core.inference import BitPackedUniVSA, warn_off_compiled
     from repro.core.pipeline import run_benchmark
     from repro.data.registry import get_benchmark
     from repro.utils.trainloop import TrainConfig
@@ -527,6 +527,7 @@ def bench_serve(
     bank = run.data.x_test
     true_labels = np.asarray(run.data.y_test)
     engine = BitPackedUniVSA(run.artifacts)
+    warn_off_compiled(engine)
     policy = policy if policy is not None else ServePolicy()
     chaos = ChaosSpec.from_env()
 

@@ -8,8 +8,8 @@ four engine configurations:
   (multiply-accumulate pack + LUT popcount), single-threaded: the seed
   engine's exact arithmetic, so speedups are measured against a live
   baseline on the same machine rather than asserted;
-* ``fused`` — the single-pass pipeline (the compiled datapath, or the
-  NumPy tile loop without a compiler) on the fast kernels,
+* ``fused`` — the default engine (the compiled datapath, or the legacy
+  oracle stages without a compiler) on the fast kernels,
   single-threaded: the engine win in isolation;
 * ``parallel`` — the fused engine under a
   :class:`~repro.runtime.resilience.ResilientBatchRunner` pool of the
@@ -288,7 +288,7 @@ def bench_throughput(
     seed: int = 0,
 ) -> ThroughputReport:
     """Train a small model on ``benchmark`` and measure samples/sec."""
-    from repro.core.inference import BitPackedUniVSA
+    from repro.core.inference import BitPackedUniVSA, warn_off_compiled
     from repro.core.pipeline import run_benchmark
     from repro.data.registry import get_benchmark
     from repro.utils.trainloop import TrainConfig
@@ -327,8 +327,9 @@ def bench_throughput(
         stages=stage_breakdown(seed_registry, prefix="packed."),
     )
 
-    # fused: single-pass tiled pipeline, fast kernels, single thread.
+    # fused: the compiled datapath, fast kernels, single thread.
     fused_engine = BitPackedUniVSA(run.artifacts, mode="fused")
+    warn_off_compiled(fused_engine)
     fused_registry = MetricsRegistry()
     with using_kernels("fast"), using_registry(fused_registry):
         fused_engine.publish_traffic_metrics(fused_registry, batch=batch)

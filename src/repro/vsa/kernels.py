@@ -1,17 +1,13 @@
 """Bit-kernel dispatch: one selected implementation set for pack/popcount.
 
-The packed datapath spends its time in three primitives — packing
-bipolar vectors into uint64 words, popcounting XNOR'd words, and
-XOR-match counting a batch of packed operands against a fixed key
-matrix (the conv kernel taps).  Each has a portable reference
-implementation (a 64-lane multiply-accumulate pack, a 16-bit LUT
-popcount, a word-loop match) and a fast path built on NumPy ufuncs
+The packed oracle stages spend their time in two primitives — packing
+bipolar vectors into uint64 words and popcounting XNOR'd words.  Each has
+a portable reference implementation (a 64-lane multiply-accumulate pack,
+a 16-bit LUT popcount) and a fast path built on NumPy ufuncs
 (``np.packbits`` with little bit order viewed as little-endian words,
-``np.bitwise_count`` on NumPy >= 2, and a per-tap 256-entry byte-LUT
-gather for the match).  This module owns the choice:
+``np.bitwise_count`` on NumPy >= 2).  This module owns the choice:
 
-* the selection happens **once at import** (``REPRO_KERNELS=legacy|fast``
-  overrides it; any other value raises) and every call in
+* the process starts on the ``fast`` set and every call in
   :mod:`repro.vsa.bitops` dispatches through the active
   :class:`KernelSet`;
 * :func:`using_kernels` temporarily swaps the set — the property tests
@@ -21,6 +17,9 @@ gather for the match).  This module owns the choice:
   active, so every profile and ledger record is attributable to a
   specific kernel configuration.
 
+The compiled datapath (:mod:`repro.vsa.kernels_cc`) calls none of these
+primitives, so an engine takes it only under the stock ``fast`` set.
+
 All pack implementations use the same bit order (element ``d`` of a
 vector lands at bit ``d % 64`` of word ``d // 64``), so packed artifacts
 are interchangeable between sets.
@@ -28,7 +27,6 @@ are interchangeable between sets.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -148,74 +146,6 @@ def _popcount8_native(words: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fused-match builders
-#
-# ``match_builder(key_bytes)`` precomputes against a fixed (O, n_bytes)
-# uint8 key matrix and returns ``matcher(op_bytes)`` mapping packed
-# operands (..., n_bytes) to XOR bit counts (..., O) — the inner loop of
-# the fused conv stage.  Padding bits are zero on both sides by the
-# shared pack layout, so they contribute no counts and every builder is
-# bit-exact against every other (enforced by the property suite).
-# ---------------------------------------------------------------------------
-def _words_from_bytes(data: np.ndarray) -> np.ndarray:
-    """Bytes (..., n) -> uint64 little-endian words (..., ceil(n/8))."""
-    n_bytes = data.shape[-1]
-    n_words = -(-n_bytes // 8)
-    if n_bytes != n_words * 8:
-        padded = np.zeros(data.shape[:-1] + (n_words * 8,), dtype=np.uint8)
-        padded[..., :n_bytes] = data
-        data = padded
-    return np.ascontiguousarray(data).view(_U64_LE).astype(np.uint64, copy=False)
-
-
-def _check_key(key_bytes: np.ndarray) -> np.ndarray:
-    key = np.ascontiguousarray(np.asarray(key_bytes, dtype=np.uint8))
-    if key.ndim != 2:
-        raise ValueError(f"key_bytes must be (O, n_bytes) uint8, got shape {key.shape}")
-    return key
-
-
-def _match_builder_words(key_bytes: np.ndarray):
-    """Reference match: bytes regrouped to words, XOR + LUT16 popcount."""
-    key_words = _words_from_bytes(_check_key(key_bytes))  # (O, Wc)
-
-    def matcher(op_bytes: np.ndarray) -> np.ndarray:
-        op_words = _words_from_bytes(np.asarray(op_bytes, dtype=np.uint8))
-        counts = _popcount8_lut(op_words[..., None, :] ^ key_words)
-        return counts.sum(axis=-1, dtype=np.int64)
-
-    return matcher
-
-
-def _match_builder_lut8(key_bytes: np.ndarray):
-    """Byte-LUT match: one 256-entry XOR-popcount table per key byte.
-
-    The tables hold ``popcount(v ^ key[:, t])`` for every byte value
-    ``v`` — the match loop is then a pure gather-accumulate over the
-    operand bytes, never materializing an XOR intermediate (the DVP
-    lookup idea applied to the conv kernel itself).  uint16 accumulation
-    is exact while ``n_bytes * 8 <= 65535``, far beyond any conv block.
-    """
-    key = _check_key(key_bytes)
-    o, n_bytes = key.shape
-    pop8 = _pop16_table()[:256]
-    byte_values = np.arange(256, dtype=np.uint8)
-    # (n_bytes, 256, O): tables[t][v] = per-channel XOR popcount of byte v.
-    tables = np.ascontiguousarray(
-        pop8[(byte_values[None, :, None] ^ key.T[:, None, :]).astype(np.intp)]
-    )
-
-    def matcher(op_bytes: np.ndarray) -> np.ndarray:
-        op = np.asarray(op_bytes, dtype=np.uint8)
-        acc = np.zeros(op.shape[:-1] + (o,), dtype=np.uint16)
-        for t in range(n_bytes):
-            acc += tables[t][op[..., t]]
-        return acc
-
-    return matcher
-
-
-# ---------------------------------------------------------------------------
 # the dispatch table
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -228,9 +158,6 @@ class KernelSet:
     popcount8: Callable[[np.ndarray], np.ndarray]  # per-word counts, uint8
     pack_impl: str
     popcount_impl: str
-    # key bytes (O, n_bytes) -> matcher(op bytes (..., n_bytes)) -> (..., O)
-    match_builder: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
-    match_impl: str
 
 
 LEGACY_KERNELS = KernelSet(
@@ -240,8 +167,6 @@ LEGACY_KERNELS = KernelSet(
     popcount8=_popcount8_lut,
     pack_impl="mac64",
     popcount_impl="lut16",
-    match_builder=_match_builder_words,
-    match_impl="xor-words",
 )
 
 FAST_KERNELS = KernelSet(
@@ -251,8 +176,6 @@ FAST_KERNELS = KernelSet(
     popcount8=_popcount8_native if HAVE_BITWISE_COUNT else _popcount8_lut,
     pack_impl="packbits",
     popcount_impl="bitwise_count" if HAVE_BITWISE_COUNT else "lut16",
-    match_builder=_match_builder_lut8,
-    match_impl="lut8-gather",
 )
 
 _SETS = {"legacy": LEGACY_KERNELS, "fast": FAST_KERNELS}
@@ -263,24 +186,16 @@ def available_kernel_sets() -> dict[str, KernelSet]:
     return dict(_SETS)
 
 
-def _resolve_set(name: str, source: str = "") -> KernelSet:
+def _resolve_set(name: str) -> KernelSet:
     try:
         return _SETS[name]
     except KeyError:
         raise ValueError(
-            f"unknown kernel set {name!r}{source}; expected one of {sorted(_SETS)}"
+            f"unknown kernel set {name!r}; expected one of {sorted(_SETS)}"
         ) from None
 
 
-def _default_kernels() -> KernelSet:
-    """The set ``REPRO_KERNELS`` names (``fast`` when unset or blank)."""
-    raw = os.environ.get("REPRO_KERNELS", "").strip()
-    if not raw:
-        return FAST_KERNELS
-    return _resolve_set(raw.lower(), f" (REPRO_KERNELS={raw!r})")
-
-
-_active: KernelSet = _default_kernels()
+_active: KernelSet = FAST_KERNELS
 
 
 def get_kernels() -> KernelSet:
@@ -305,7 +220,6 @@ def wrap_kernels(
     pack: Callable[[np.ndarray], tuple[np.ndarray, int]] | None = None,
     unpack: Callable[[np.ndarray, int], np.ndarray] | None = None,
     popcount8: Callable[[np.ndarray], np.ndarray] | None = None,
-    match_builder: Callable | None = None,
     suffix: str = "+wrapped",
 ) -> KernelSet:
     """A derived :class:`KernelSet` with some primitives interposed.
@@ -323,10 +237,6 @@ def wrap_kernels(
         popcount8=popcount8 if popcount8 is not None else base.popcount8,
         pack_impl=base.pack_impl,
         popcount_impl=base.popcount_impl,
-        match_builder=(
-            match_builder if match_builder is not None else base.match_builder
-        ),
-        match_impl=base.match_impl,
     )
 
 
@@ -350,7 +260,6 @@ def kernel_info(kernels: KernelSet | None = None) -> dict:
         "set": active.name,
         "pack": active.pack_impl,
         "popcount": active.popcount_impl,
-        "match": active.match_impl,
         "numpy": np.__version__,
         "bitwise_count_available": HAVE_BITWISE_COUNT,
     }

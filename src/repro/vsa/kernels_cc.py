@@ -40,13 +40,14 @@ Design constraints:
   up to 8191 taps; larger tap counts are refused.
 * **Never out of bounds.**  Every level is checked against the ValueBox
   size before its row is read; a call holding a level outside
-  ``[0, n_levels)`` returns ``False`` so the caller can take the NumPy
-  path, which keeps NumPy's indexing semantics.
+  ``[0, n_levels)`` returns ``False`` so the caller can take the legacy
+  oracle stages, which keep NumPy's indexing semantics.
 * **Graceful degradation.**  ``REPRO_CC=0`` (or ``off``/``false``/
   ``no``), a missing compiler, a failed build or an operand layout the
   kernel does not take all surface as ``build_fused(...) -> None`` with
-  the reason recorded — the engine keeps its NumPy tile loop and
-  :func:`cc_info` reports why.
+  the reason recorded — the engine runs the legacy oracle stages and
+  :func:`cc_info` reports why.  A later successful bind clears the
+  reason, so it always describes the most recent build.
 * **Layer split on request.**  Given a 4-slot ``stage_ns`` buffer the
   kernel reads the monotonic clock between stages and accumulates
   nanoseconds for gather, conv+pack, encode and similarity; given none
@@ -244,15 +245,16 @@ def reset_cc() -> None:
 
 
 def cc_info() -> dict:
-    """Availability snapshot for :func:`repro.vsa.kernels.kernel_info`."""
+    """Availability snapshot for :func:`repro.vsa.kernels.kernel_info`.
+
+    ``cc_conv_unavailable_reason`` is why the most recent
+    :func:`build_fused` refused, ``None`` once a later one bound a kernel.
+    """
     compiled = sorted({key[0] for key, lib in _libs.items() if lib is not None})
-    reason = _global_reason
-    if reason is None and _reasons:
-        reason = next(iter(_reasons.values()))
     return {
         "cc_conv_enabled": cc_enabled(),
         "cc_conv_compiled_taps": compiled,
-        "cc_conv_unavailable_reason": reason,
+        "cc_conv_unavailable_reason": _global_reason,
     }
 
 
@@ -321,20 +323,20 @@ def _compile(taps: int, opad: int) -> ctypes.CDLL:
 
 
 def _load(taps: int, opad: int) -> ctypes.CDLL | None:
-    global _global_reason
+    """The compiled library for one shape; a failed build is cached and
+    its reason re-recorded on every later request for that shape."""
     key = (taps, opad)
     with _lock:
-        if key in _libs:
-            return _libs[key]
-        try:
-            lib = _compile(taps, opad)
-        except (OSError, RuntimeError) as exc:  # pragma: no cover - host-dependent
-            _libs[key] = None
-            _reasons[key] = str(exc)
-            _global_reason = str(exc)
-            return None
-        _libs[key] = lib
-        return lib
+        if key not in _libs:
+            try:
+                _libs[key] = _compile(taps, opad)
+            except (OSError, RuntimeError) as exc:  # pragma: no cover - host-dependent
+                _libs[key] = None
+                _reasons[key] = str(exc)
+        lib = _libs[key]
+    if lib is None:
+        _refuse(_reasons[key])
+    return lib
 
 
 _POP8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -362,8 +364,8 @@ class FusedKernel:
     Holds a reference to every array whose address the C code reads, so
     the pointers stay valid for the kernel's lifetime.  The ValueBox,
     mask and feature/class operands are the engine's own arrays, read in
-    place (a resident bit flip reaches the kernel exactly as it reaches
-    the NumPy path); the tap tables and bound windows are derived here.
+    place (a resident bit flip in them reaches the kernel); the tap
+    tables and bound windows are derived here.
     """
 
     def __init__(self, fn, keep: tuple, ops, geom, taps: int, scratch_words: int):
@@ -442,8 +444,10 @@ def build_fused(
     ``class_inv`` the pre-inverted ``(P, WF)`` / ``(voters, classes,
     WS)`` words.  Returns a :class:`FusedKernel`, or ``None`` when the
     compiled backend is unavailable or the operand layout is not one the
-    kernel takes (reason recorded in :func:`cc_info`).
+    kernel takes (reason recorded in :func:`cc_info`, and cleared when a
+    kernel is bound).
     """
+    global _global_reason
     if not cc_enabled():
         return _refuse(f"disabled via {_ENV_FLAG}")
     if sys.byteorder != "little":
@@ -504,4 +508,5 @@ def build_fused(
     )
     volume_words = -(-(height + k - 1) * (width + k - 1) * nb // 8)
     scratch_words = positions * wf + ws + volume_words
+    _global_reason = None
     return FusedKernel(lib.univsa_fused, keep, ops, geom, taps, scratch_words)

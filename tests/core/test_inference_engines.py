@@ -1,11 +1,11 @@
 """Fused-vs-legacy engine equivalence and conv-window regression tests.
 
 The fast engine (``mode="fused"``: packed conv operands, XOR-space
-integer thresholds, tiled single-pass pipeline) must produce the legacy
+integer thresholds, one compiled call per batch) must produce the legacy
 oracle's int64 score rows *exactly* on every configuration — including
 position counts that are not a multiple of 64, batch-norm-folded
-thresholds with channel flips, and tile sizes that force the pipeline
-through multiple tiles.  A naive Python loop pins the sliding-window
+thresholds with channel flips, and the oracle route it takes without the
+compiled datapath.  A naive Python loop pins the sliding-window
 convolution so a future stride/transpose mistake cannot hide behind
 "both paths use the same helper".
 """
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BitPackedUniVSA, UniVSAConfig, UniVSAModel, extract_artifacts
-from repro.core import inference
 from repro.core.export import _int_conv2d_same
 from repro.nn import Tensor
 from repro.vsa.kernels import using_kernels
@@ -79,26 +78,24 @@ class TestEngineEquivalence:
         levels = _levels_batch(shape, seed=1)
         with using_kernels("legacy"):
             engine = BitPackedUniVSA(artifacts)
-            assert engine.conv_backend == "numpy"
+            assert engine.conv_backend == "legacy"
             _assert_rows_match_oracle(engine, levels)
 
-    def test_tiny_tile_forces_chunked_conv(self, monkeypatch):
-        """A NumPy tile budget small enough that a 9-sample batch needs nine
-        one-sample tiles of the NumPy loop (compiled datapath off); score
-        rows must equal the oracle's, and ``encode()``, which runs the
-        same tile loop, the legacy encoding."""
+    def test_compiler_off_takes_the_oracle_stages(self, monkeypatch):
+        """With the compiled datapath off the fused engine runs the
+        oracle stages: its score rows and ``encode()`` rows equal the
+        legacy engine's."""
         monkeypatch.setenv("REPRO_CC", "0")
-        monkeypatch.setattr(inference, "_NUMPY_TILE_MB", 1e-6)
         reset_cc()
         shape = (13, 5)
         artifacts = _exported(shape, seed=2)
         levels = _levels_batch(shape, n=9, seed=2)
-        tiled = BitPackedUniVSA(artifacts)
-        assert tiled.conv_backend == "numpy"
-        assert tiled._fused_tile() == 1
-        _assert_rows_match_oracle(tiled, levels)
+        engine = BitPackedUniVSA(artifacts)
+        reset_cc()
+        assert engine.conv_backend == "legacy"
+        _assert_rows_match_oracle(engine, levels)
         legacy = BitPackedUniVSA(artifacts, mode="legacy")
-        np.testing.assert_array_equal(tiled.encode(levels), legacy.encode(levels))
+        np.testing.assert_array_equal(engine.encode(levels), legacy.encode(levels))
 
     def test_batchnorm_thresholds_and_flips(self):
         """Folded BN gives non-zero float thresholds and flipped
@@ -128,6 +125,7 @@ class TestEngineEquivalence:
         levels = _levels_batch(shape, seed=4)
         fused = BitPackedUniVSA(artifacts)
         assert artifacts.kernel is None
+        assert fused.conv_backend == "legacy"
         _assert_rows_match_oracle(fused, levels)
 
     def test_rejects_unknown_mode(self):

@@ -71,8 +71,13 @@ class TestBenchThroughput:
         assert set(report.traffic) == {"legacy", "fused"}
         fused = report.traffic["fused"]
         legacy = report.traffic["legacy"]
-        assert fused["peak_intermediate_mb"] < legacy["peak_intermediate_mb"]
         assert fused["bytes_per_sample"] > 0
+        if fused["backend"] != "cc":
+            # Without the compiled datapath the fused engine runs, and
+            # models, the oracle stages.
+            assert {**fused, "mode": "legacy"} == legacy
+            return
+        assert fused["peak_intermediate_mb"] < legacy["peak_intermediate_mb"]
 
     def test_ledger_metrics_flat_and_complete(self, report):
         metrics = report.ledger_metrics()

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-
 from repro.vsa import (
     hamming_distance_packed,
     pack_bipolar,
@@ -36,11 +35,6 @@ from repro.vsa.kernels import (
     set_kernels,
     using_kernels,
 )
-
-
-def _match_sets():
-    """Every registered kernel set."""
-    return [FAST_KERNELS, LEGACY_KERNELS]
 
 RNG = np.random.default_rng(11)
 
@@ -146,51 +140,6 @@ def test_match_count_equality_property(dim, seed):
         assert matches == dense
 
 
-class TestMatchBuilderEquality:
-    """Every set's fused-match builder must count XOR bits identically."""
-
-    @pytest.mark.parametrize("dim", EDGE_DIMS)
-    def test_match_counts_agree_across_sets(self, dim):
-        a = _random_bipolar((7, dim))
-        keys = _random_bipolar((5, dim))
-        op_bytes = (
-            FAST_KERNELS.pack(a)[0].astype("<u8", copy=False).view(np.uint8)
-        )
-        key_bytes = (
-            FAST_KERNELS.pack(keys)[0].astype("<u8", copy=False).view(np.uint8)
-        )
-        # dense reference: XOR popcount == disagreeing positions (padding
-        # bits are zero on both sides, so they never contribute)
-        dense = (a[:, None, :] != keys[None, :, :]).sum(axis=-1)
-        for kernels in _match_sets():
-            counts = kernels.match_builder(key_bytes)(op_bytes)
-            np.testing.assert_array_equal(
-                np.asarray(counts, dtype=np.int64),
-                dense,
-                err_msg=f"set={kernels.name}",
-            )
-
-    def test_match_builder_rejects_bad_key(self):
-        for kernels in _match_sets():
-            with pytest.raises(ValueError, match="key_bytes"):
-                kernels.match_builder(np.zeros(8, dtype=np.uint8))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 200), st.integers(0, 2**31 - 1))
-    def test_match_builder_property(self, dim, seed):
-        gen = np.random.default_rng(seed)
-        a = gen.choice(np.array([-1, 1], dtype=np.int8), size=(3, dim))
-        keys = gen.choice(np.array([-1, 1], dtype=np.int8), size=(2, dim))
-        op_bytes = FAST_KERNELS.pack(a)[0].astype("<u8", copy=False).view(np.uint8)
-        key_bytes = (
-            FAST_KERNELS.pack(keys)[0].astype("<u8", copy=False).view(np.uint8)
-        )
-        dense = (a[:, None, :] != keys[None, :, :]).sum(axis=-1)
-        for kernels in _match_sets():
-            counts = kernels.match_builder(key_bytes)(op_bytes)
-            np.testing.assert_array_equal(np.asarray(counts, dtype=np.int64), dense)
-
-
 class TestDispatch:
     def test_available_sets(self):
         sets = available_kernel_sets()
@@ -198,20 +147,13 @@ class TestDispatch:
         assert sets["fast"] is FAST_KERNELS
         assert sets["legacy"] is LEGACY_KERNELS
 
-    @pytest.mark.parametrize(
-        "value,outcome",
-        [("jit", "ValueError"), ("turbo", "ValueError"), (" Legacy ", "legacy"), ("", "fast")],
-    )
-    def test_env_selection(self, value, outcome):
-        """``REPRO_KERNELS`` picks a set at import; a name that is not a
-        set (a leftover ``jit`` included) fails loudly, naming the valid
-        sets, instead of silently running ``fast``."""
-        code = (
-            "from repro.vsa.kernels import get_kernels\n"
-            "print(get_kernels().name)\n"
-        )
+    def test_process_starts_on_fast(self):
+        """No environment variable picks the import-time set: a fresh
+        interpreter starts on ``fast`` even with the retired
+        ``REPRO_KERNELS=legacy`` set."""
+        code = "from repro.vsa.kernels import get_kernels; print(get_kernels().name)"
         src_dir = str(Path(repro.__file__).parents[1])
-        env = dict(os.environ, REPRO_KERNELS=value)
+        env = dict(os.environ, REPRO_KERNELS="legacy")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src_dir, env.get("PYTHONPATH")) if p
         )
@@ -219,13 +161,8 @@ class TestDispatch:
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, timeout=60,
         )
-        if outcome == "ValueError":
-            assert proc.returncode != 0
-            assert f"REPRO_KERNELS={value!r}" in proc.stderr
-            assert "expected one of ['fast', 'legacy']" in proc.stderr
-        else:
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.strip() == outcome
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "fast"
 
     def test_set_kernels_rejects_unknown(self):
         for name in ("turbo", "jit"):
@@ -252,7 +189,6 @@ class TestDispatch:
             "set",
             "pack",
             "popcount",
-            "match",
             "numpy",
             "bitwise_count_available",
             "cc_conv_enabled",
@@ -263,8 +199,6 @@ class TestDispatch:
         assert legacy["set"] == "legacy"
         assert legacy["pack"] == "mac64"
         assert legacy["popcount"] == "lut16"
-        assert legacy["match"] == "xor-words"
-        assert kernel_info(FAST_KERNELS)["match"] == "lut8-gather"
 
     def test_publish_kernel_metrics_gauges(self):
         from repro.obs import MetricsRegistry

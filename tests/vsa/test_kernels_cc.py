@@ -1,14 +1,15 @@
 """Compiled fused datapath: bit-exactness, call-time dispatch, fallback.
 
 The cc kernel is an *optimization with an escape hatch*: every test here
-either proves it writes exactly the int64 score rows the NumPy fused
-loop and the legacy oracle write, or proves that whatever it cannot
-serve — a disabled or failed build, a non-stock kernel set, levels
-outside the ValueBox — runs the NumPy loop with NumPy's semantics,
-never a different answer.  The NumPy path is pinned the way a deployment
-pins it: ``REPRO_CC=0`` plus :func:`reset_cc` before construction.
+either proves it writes exactly the int64 score rows the legacy oracle
+writes, or proves that whatever it cannot serve — a disabled or failed
+build, a non-stock kernel set, levels outside the ValueBox — runs the
+oracle stages with NumPy's semantics, never a different answer.  The
+oracle route is pinned the way a deployment pins it: ``REPRO_CC=0``
+plus :func:`reset_cc` before construction.
 """
 
+import io
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import BitPackedUniVSA, UniVSAConfig, UniVSAModel, extract_artifacts
-from repro.core import inference
+from repro.core.inference import warn_off_compiled
 from repro.obs import MetricsRegistry, Tracer, using_registry, using_tracer
 from repro.runtime import ChaosSpec, ResilientBatchRunner, chaos_kernels
 from repro.runtime.throughput import score_divergence
@@ -69,14 +70,14 @@ def _cc_engine(artifacts):
     return engine
 
 
-def _numpy_engine(artifacts, monkeypatch):
+def _oracle_route_engine(artifacts, monkeypatch):
     """A fused engine built with the compiled backend switched off."""
     with monkeypatch.context() as patch:
         patch.setenv("REPRO_CC", "0")
         reset_cc()
         engine = BitPackedUniVSA(artifacts, mode="fused")
     reset_cc()
-    assert engine.conv_backend == "numpy"
+    assert engine.conv_backend == "legacy"
     return engine
 
 
@@ -93,18 +94,18 @@ class TestBitExactness:
             artifacts = _artifacts(case)
             assert (artifacts.value_low is not None) == case[5]
             cc = _cc_engine(artifacts)
-            numpy_engine = _numpy_engine(artifacts, monkeypatch)
+            oracle_route = _oracle_route_engine(artifacts, monkeypatch)
             for n in (0, 1, 7, 33):
                 levels = _levels(case[-1], n, seed=n)
                 rows = cc.scores(levels)
                 assert rows.dtype == np.int64 and rows.shape == (n, artifacts.n_classes)
                 np.testing.assert_array_equal(
-                    rows, numpy_engine.scores(levels), err_msg=f"{case} batch={n}"
+                    rows, oracle_route.scores(levels), err_msg=f"{case} batch={n}"
                 )
 
     def test_cc_matches_legacy_reference(self):
-        """Transitively: cc == NumPy fused == legacy, for ``scores()``
-        and for ``encode()``'s int8 ``s`` rows."""
+        """cc == legacy for ``scores()`` and for ``encode()``'s int8
+        ``s`` rows."""
         for case in CASES:
             artifacts = _artifacts(case, seed=2)
             cc = _cc_engine(artifacts)
@@ -132,15 +133,6 @@ class TestBitExactness:
                 levels = np.full((3,) + case[-1], level)
                 np.testing.assert_array_equal(cc.scores(levels), legacy.scores(levels))
 
-    def test_tile_budget_does_not_change_cc_scores(self, paper, monkeypatch):
-        """The NumPy tile budget never reaches the compiled datapath."""
-        levels = _levels(paper.input_shape, 21, seed=5)
-        expected = _cc_engine(paper).scores(levels)
-        for tile_mb in (1e-6, 0.5, 8.0):
-            monkeypatch.setattr(inference, "_NUMPY_TILE_MB", tile_mb)
-            engine = _cc_engine(paper)
-            np.testing.assert_array_equal(engine.scores(levels), expected)
-
     def test_narrow_integer_dtypes(self, paper):
         cc = _cc_engine(paper)
         levels = _levels(paper.input_shape, 9, seed=3)
@@ -150,18 +142,11 @@ class TestBitExactness:
         np.testing.assert_array_equal(cc.scores(np.asfortranarray(levels)), expected)
 
 
-def _tile_size(engine, levels):
-    registry = MetricsRegistry()
-    with using_registry(registry):
-        engine.scores(levels)
-    return registry.gauge("packed.fused.tile_size").value
-
-
 class TestDispatch:
     def test_built_under_legacy_runs_cc_under_fast(self, paper):
         with using_kernels("legacy"):
             engine = BitPackedUniVSA(paper, mode="fused")
-            assert engine.conv_backend == "numpy"
+            assert engine.conv_backend == "legacy"
         if engine._cc is None:
             pytest.skip(f"compiled backend unavailable: {cc_info()}")
         levels = _levels(paper.input_shape, 6, seed=5)
@@ -174,14 +159,14 @@ class TestDispatch:
 
     def test_out_of_range_levels_keep_numpy_semantics(self, paper, monkeypatch):
         cc = _cc_engine(paper)
-        numpy_engine = _numpy_engine(paper, monkeypatch)
+        oracle_route = _oracle_route_engine(paper, monkeypatch)
         levels = _levels(paper.input_shape, 4, seed=6)
         # Negative levels index from the end, exactly as NumPy does.
         negative = levels.copy()
         negative[1, 2, 3] = -1
         negative[3, 0, 0] = -LEVELS
-        np.testing.assert_array_equal(cc.scores(negative), numpy_engine.scores(negative))
-        np.testing.assert_array_equal(cc.encode(negative), numpy_engine.encode(negative))
+        np.testing.assert_array_equal(cc.scores(negative), oracle_route.scores(negative))
+        np.testing.assert_array_equal(cc.encode(negative), oracle_route.encode(negative))
         for bad in (LEVELS, -LEVELS - 1, 2**40):
             broken = levels.copy()
             broken[2, 5, 1] = bad
@@ -213,8 +198,27 @@ class TestStageSplit:
             assert histogram.count == 2 and histogram.total_seconds > 0
         assert registry.histogram("packed.similarity").count == 1
         assert registry.counter("packed.samples").value == 22
-        assert registry.counter("packed.fused.tiles").value == 22
-        assert registry.gauge("packed.fused.tile_size").value == engine._fused_tile() == 1
+
+    def test_oracle_route_counts_each_sample_and_stage_once(self, paper, monkeypatch):
+        """Calls that take the oracle stages — a build without the
+        compiled backend, or a cc engine handed an out-of-range level —
+        count ``packed.samples`` once per sample and observe each
+        ``packed.*`` stage once per call, never the cc split as well."""
+        levels = _levels(paper.input_shape, 11, seed=7)
+        negative = levels.copy()
+        negative[0, 0, 0] = -1
+        routes = [(_oracle_route_engine(paper, monkeypatch), levels)]
+        engine = BitPackedUniVSA(paper, mode="fused")
+        if engine.conv_backend == "cc":
+            routes.append((engine, negative))
+        for engine, batch in routes:
+            with using_registry(MetricsRegistry()) as registry:
+                engine.scores(batch)
+                engine.encode(batch)
+            assert registry.counter("packed.samples").value == 22
+            for stage in ("dvp", "biconv", "encode"):
+                assert registry.histogram(f"packed.{stage}").count == 2, stage
+            assert registry.histogram("packed.similarity").count == 1
 
     def test_no_clock_buffer_when_telemetry_is_off(self, paper):
         engine = _cc_engine(paper)
@@ -251,12 +255,16 @@ class TestStageSplit:
 
 class TestTrafficModel:
     def test_cc_model_differs_from_numpy(self, paper, monkeypatch):
+        """The cc model against the model of the route a compiler-less
+        host takes, which is the legacy oracle's."""
         cc_model = _cc_engine(paper).traffic_model(batch=256)
-        numpy_model = _numpy_engine(paper, monkeypatch).traffic_model(batch=256)
-        assert cc_model["backend"] == "cc" and numpy_model["backend"] == "numpy"
+        fallback = _oracle_route_engine(paper, monkeypatch).traffic_model(batch=256)
+        legacy = BitPackedUniVSA(paper, mode="legacy").traffic_model(batch=256)
+        assert cc_model["backend"] == "cc" and fallback["backend"] == "legacy"
+        assert {**fallback, "mode": "legacy"} == legacy
         assert cc_model["tile_samples"] == 1
-        assert cc_model["peak_intermediate_mb"] < numpy_model["peak_intermediate_mb"]
-        assert cc_model["bytes_per_sample"] < numpy_model["bytes_per_sample"]
+        assert cc_model["peak_intermediate_mb"] < legacy["peak_intermediate_mb"]
+        assert cc_model["bytes_per_sample"] < legacy["bytes_per_sample"]
         # popcounts: P*WF encode words + voters*classes*WS similarity words.
         p = paper.positions
         voters, classes, ws = BitPackedUniVSA(paper)._class_inv.shape
@@ -266,8 +274,9 @@ class TestTrafficModel:
 
 class TestChaosAndWorkers:
     def test_bitflip_chaos_still_counts_mismatches(self, paper):
-        """A cc-built engine under bitflip chaos runs the NumPy loop, so
-        the flips reach encode and similarity through ``popcount8``."""
+        """A cc-built engine under bitflip chaos runs the oracle stages,
+        so the flips reach conv, encode and similarity through
+        ``popcount8``."""
         engine = BitPackedUniVSA(paper, mode="fused")
         levels = _levels(paper.input_shape, 48, seed=10)
         oracle = BitPackedUniVSA(paper, mode="legacy").scores(levels)
@@ -323,13 +332,24 @@ def _worker_backend():
     return resilience._WORKER_ENGINE.conv_backend
 
 
+def _build_with_bad_taps(paper):
+    """``build_fused`` over a tap matrix whose width is not k*k*nb."""
+    engine = BitPackedUniVSA(paper)
+    taps = np.zeros((151, 10), dtype=np.uint8)  # 10 != 3*3*1
+    return build_fused(
+        engine._value_bytes_high, engine._value_bytes_low, engine._mask_bool,
+        taps, engine._fused_bound, engine._fused_flip, 3,
+        engine._feature_inv, engine._class_inv, engine._enc_bits, paper.input_shape,
+    )
+
+
 class TestGating:
     def test_env_flag_disables_and_records_reason(self, paper, monkeypatch):
         monkeypatch.setenv("REPRO_CC", "0")
         reset_cc()
         engine = BitPackedUniVSA(paper, mode="fused")
         assert not cc_enabled()
-        assert engine.conv_backend == "numpy"
+        assert engine.conv_backend == "legacy"
         info = cc_info()
         assert info["cc_conv_enabled"] is False
         assert "REPRO_CC" in (info["cc_conv_unavailable_reason"] or "")
@@ -339,18 +359,23 @@ class TestGating:
 
     def test_legacy_kernel_set_never_uses_cc(self, paper, monkeypatch):
         """Built under ``fast``, run under ``legacy`` or a chaos-wrapped
-        set: the call takes the NumPy loop (its tile gauge, not the cc
-        one-sample unit) and still matches the oracle."""
-        monkeypatch.setattr(inference, "_NUMPY_TILE_MB", 8.0)
+        set: the call takes the oracle stages — the compiled kernel is
+        never entered — and still matches the oracle."""
         engine = _cc_engine(paper)
         levels = _levels(paper.input_shape, 5, seed=4)
         oracle = BitPackedUniVSA(paper, mode="legacy").scores(levels)
-        assert _tile_size(engine, levels) == 1
+        calls = []
+        run = engine._cc.run
+        monkeypatch.setattr(
+            engine._cc, "run", lambda *args: (calls.append(1), run(*args))[1]
+        )
+        np.testing.assert_array_equal(engine.scores(levels), oracle)
+        assert len(calls) == 1
         for kernels in ("legacy", chaos_kernels(get_kernels())):
             with using_kernels(kernels):
-                assert engine.conv_backend == "numpy"
-                assert _tile_size(engine, levels) == engine._numpy_tile() > 1
+                assert engine.conv_backend == "legacy"
                 np.testing.assert_array_equal(engine.scores(levels), oracle)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("off", ["0", "false", "off", "no"])
     def test_all_off_spellings(self, off, monkeypatch):
@@ -359,15 +384,45 @@ class TestGating:
 
     def test_bad_tap_layout_degrades_with_reason(self, paper, monkeypatch):
         monkeypatch.setenv("REPRO_CC", "1")
-        engine = BitPackedUniVSA(paper)
-        taps = np.zeros((151, 10), dtype=np.uint8)  # 10 != 3*3*1
-        kernel = build_fused(
-            engine._value_bytes_high, engine._value_bytes_low, engine._mask_bool,
-            taps, engine._fused_bound, engine._fused_flip, 3,
-            engine._feature_inv, engine._class_inv, engine._enc_bits, paper.input_shape,
-        )
-        assert kernel is None
+        assert _build_with_bad_taps(paper) is None
         assert "mismatch" in (cc_info()["cc_conv_unavailable_reason"] or "")
+
+    def test_good_build_clears_stale_refusal(self, paper, monkeypatch):
+        """A refused build followed by a good one: the reason describes
+        the latest build, so ledger records of cc runs carry ``None``."""
+        monkeypatch.setenv("REPRO_CC", "1")
+        assert _build_with_bad_taps(paper) is None
+        engine = _cc_engine(paper)
+        assert engine.conv_backend == "cc"
+        assert cc_info()["cc_conv_unavailable_reason"] is None
+        assert kernel_info()["cc_conv_unavailable_reason"] is None
+
+    def test_off_compiled_notice(self, paper, monkeypatch):
+        """One stderr line naming why an engine runs off the compiled
+        datapath; nothing on the ``cc`` route."""
+        config = UniVSAConfig(d_high=8, d_low=1, levels=LEVELS, voters=2)
+        kernelless = extract_artifacts(
+            UniVSAModel((6, 5), 3, config.with_ablation(True, False, 2))
+        )
+        cases = [
+            (BitPackedUniVSA(paper, mode="legacy"), "fast", "engine mode 'legacy'"),
+            (BitPackedUniVSA(kernelless), "fast", "no conv kernel"),
+        ]
+        engine = BitPackedUniVSA(paper)
+        if engine.conv_backend == "cc":
+            stream = io.StringIO()
+            assert warn_off_compiled(engine, stream) is None
+            assert stream.getvalue() == ""
+            cases.append((engine, "legacy", "kernel set 'legacy'"))
+        monkeypatch.setenv("REPRO_CC", "0")
+        reset_cc()
+        cases.append((BitPackedUniVSA(paper), "fast", "disabled via REPRO_CC"))
+        for engine, kernels, reason in cases:
+            stream = io.StringIO()
+            with using_kernels(kernels):
+                line = warn_off_compiled(engine, stream)
+            assert stream.getvalue() == line + "\n"
+            assert reason in line and "legacy oracle" in line
 
     def test_kernel_info_surfaces_cc_fields(self, monkeypatch):
         monkeypatch.setenv("REPRO_CC", "1")
